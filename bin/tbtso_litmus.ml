@@ -187,11 +187,12 @@ let robust_arg =
 
 let jobs_arg =
   let doc =
-    "Fan the (file, mode) checks out over $(docv) domains (0 picks one per \
-     core, capped at 8). With fewer tasks than domains the pool moves \
-     $(i,inside) each exploration instead: the explorer hands frontier \
-     segments of the single heavyweight check to idle domains, so one \
-     (file, mode) task still speeds up. Verdicts, report and JSON are \
+    "Fan the files out over $(docv) domains (0 picks one per core, capped \
+     at 8); a file's modes run in order on one domain, sharing one SAT \
+     session. With fewer files than domains the pool moves $(i,inside) \
+     each exploration instead: the explorer hands frontier segments of \
+     the check to idle domains, so a single heavyweight file still speeds \
+     up. Verdicts, report and JSON are \
      identical to a sequential run either way — results are delivered in \
      submission order — except for wall-clock stats fields and the \
      $(b,par.*) pool metrics in the JSON totals."

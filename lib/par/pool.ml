@@ -4,12 +4,19 @@ type worker_stats = { domain : int; tasks : int; busy_s : float }
    (slot 0 by the caller), so no locking is needed around updates. *)
 type slot = { mutable s_tasks : int; mutable s_busy : float }
 
+(* One queued chunk: its task count, the runner (which never raises:
+   task exceptions are captured into the submission's error cell) and
+   the completion signal. [exec] charges the chunk to its domain's slot
+   {e before} signalling, so a caller woken by the last completion
+   reads up-to-date [stats]. *)
+type chunk = { ntasks : int; run : unit -> unit; finish : unit -> unit }
+
 type t = {
   size : int;
   mutex : Mutex.t;
   work_available : Condition.t;  (* signalled on enqueue and shutdown *)
   job_done : Condition.t;  (* signalled when a submission's last chunk ends *)
-  queue : (int * (unit -> unit)) Queue.t;  (* (task count, chunk runner) *)
+  queue : chunk Queue.t;
   mutable closed : bool;
   mutable joined : bool;
   mutable spawned : unit Domain.t array;
@@ -22,19 +29,19 @@ let max_domains = 8
 let default_domains () = min (Domain.recommended_domain_count ()) max_domains
 
 (* Run one queued chunk outside the lock, charging its wall time and
-   task count to this domain's slot. Chunk runners never raise: task
-   exceptions are captured into the submission's error cell. With a
+   task count to this domain's slot, then signal its completion. With a
    recording profiler each chunk is one [pool.chunk] span on the
    executing domain's buffer — this is where the per-domain span
    buffers the tasks fill get created and later merged from. *)
-let exec t id (ntasks, run) =
+let exec t id c =
   let slot = t.slots.(id) in
   let t0 = Unix.gettimeofday () in
   Tbtso_obs.Span.with_span t.profiler "pool.chunk" (fun () ->
-      Tbtso_obs.Span.count t.profiler "tasks" ntasks;
-      run ());
+      Tbtso_obs.Span.count t.profiler "tasks" c.ntasks;
+      c.run ());
   slot.s_busy <- slot.s_busy +. (Unix.gettimeofday () -. t0);
-  slot.s_tasks <- slot.s_tasks + ntasks
+  slot.s_tasks <- slot.s_tasks + c.ntasks;
+  c.finish ()
 
 let worker t id =
   Mutex.lock t.mutex;
@@ -121,18 +128,18 @@ let map ?chunk t f xs =
        mutex, read without it (a monotone None -> Some flip used only to
        skip work early, so the race is benign). *)
     let err = ref None in
-    let run_chunk c () =
-      let lo = c * chunk in
-      let hi = min n (lo + chunk) in
-      (try
-         for i = lo to hi - 1 do
-           if !err = None then results.(i) <- Some (f xs.(i))
-         done
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         Mutex.lock t.mutex;
-         if !err = None then err := Some (e, bt);
-         Mutex.unlock t.mutex);
+    let run_chunk lo hi () =
+      try
+        for i = lo to hi - 1 do
+          if !err = None then results.(i) <- Some (f xs.(i))
+        done
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Mutex.lock t.mutex;
+        if !err = None then err := Some (e, bt);
+        Mutex.unlock t.mutex
+    in
+    let finish () =
       Mutex.lock t.mutex;
       decr remaining;
       if !remaining = 0 then Condition.broadcast t.job_done;
@@ -141,7 +148,8 @@ let map ?chunk t f xs =
     Mutex.lock t.mutex;
     for c = 0 to nchunks - 1 do
       let lo = c * chunk in
-      Queue.push (min n (lo + chunk) - lo, run_chunk c) t.queue
+      let hi = min n (lo + chunk) in
+      Queue.push { ntasks = hi - lo; run = run_chunk lo hi; finish } t.queue
     done;
     Condition.broadcast t.work_available;
     (* The caller works the queue too; once it runs dry, wait for the

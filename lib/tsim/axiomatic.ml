@@ -947,6 +947,20 @@ let stats_of sess ~outcomes ~elapsed =
 let session_stats sess =
   stats_of sess ~outcomes:sess.outcomes_total ~elapsed:sess.elapsed
 
+(* One query's share of the work counters: differences against the
+   solver's counters at the start of the query. [vars] / [clauses] /
+   [learned] describe the session's formula, so they stay snapshots. *)
+let query_stats sess (before : S.stats) ~outcomes ~elapsed =
+  let st = stats_of sess ~outcomes ~elapsed in
+  {
+    st with
+    solves = st.solves - before.S.solves;
+    conflicts = st.conflicts - before.S.conflicts;
+    decisions = st.decisions - before.S.decisions;
+    propagations = st.propagations - before.S.propagations;
+    restarts = st.restarts - before.S.restarts;
+  }
+
 (* The SC outcome set is the robustness baseline: enumerated once, its
    blocking clauses stay behind a guard literal that later containment
    queries re-assume. *)
@@ -974,6 +988,7 @@ let sc_outcomes sess = snd (sc_baseline sess)
 let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
     mode =
   let t0 = Sys.time () in
+  let before = S.stats sess.s in
   let fence_lits = List.map sess.fence_act fences in
   let outcomes, complete =
     if mode = Litmus.M_sc && fences = [] && sess.sc_guard <> None then
@@ -1000,7 +1015,7 @@ let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
   {
     outcomes;
     complete;
-    stats = stats_of sess ~outcomes:(List.length outcomes) ~elapsed:dt;
+    stats = query_stats sess before ~outcomes:(List.length outcomes) ~elapsed:dt;
   }
 
 let robust sess ?(fences = []) mode =

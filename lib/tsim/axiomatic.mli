@@ -83,6 +83,14 @@
     {!Litmus.outcome} type, so the two oracles can disagree — which is
     exactly what [tbtso-litmus check --oracle both] tests for. *)
 
+(** Solver statistics. In a {!result} of {!enumerate_session} the work
+    counters ([solves], [conflicts], [decisions], [propagations],
+    [restarts]) and [outcomes] / [elapsed] cover that one query only, so
+    the results of several queries on one shared session can be summed
+    (into a registry, say) without counting earlier queries again;
+    [vars], [clauses] and [learned] are snapshots of the session's
+    formula after the query. {!session_stats} gives the session's
+    lifetime totals. *)
 type stats = {
   paths : int;
       (** Loadeq path combinations covered by the (single) formula. *)
@@ -95,7 +103,9 @@ type stats = {
   learned : int;  (** Learned clauses currently retained. *)
   restarts : int;
   outcomes : int;  (** Distinct outcomes found. *)
-  elapsed : float;  (** CPU seconds spent encoding + solving. *)
+  elapsed : float;
+      (** CPU seconds spent solving; {!explore}'s also include the
+          encode. *)
 }
 
 type result = {
@@ -152,7 +162,10 @@ val enumerate_session :
 (** All reachable outcomes under the mode (and the given fences),
     by incremental SAT enumeration. Blocking clauses are hung off a
     per-query guard and reclaimed when the query ends; learned clauses
-    that do not depend on them are retained for later queries.
+    that do not depend on them are retained for later queries. The
+    result's work counters are this query's alone (see {!stats}): over
+    a session that only serves [enumerate_session] queries they sum to
+    {!session_stats}'s.
     @raise Invalid_argument if a fence pair is not in
     {!fence_sites}. *)
 
@@ -175,7 +188,8 @@ val robust :
 val session_stats : session -> stats
 (** Cumulative over the session: [outcomes] sums every query's distinct
     outcomes, [conflicts]/[decisions]/… are the solver's lifetime
-    counters (difference two snapshots for per-query numbers). *)
+    counters (robustness queries included), [elapsed] includes the
+    encode. *)
 
 (** {1 One-shot API} *)
 

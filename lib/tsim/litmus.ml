@@ -154,7 +154,7 @@ type scratch_state = {
 type seed = int array * int * int
 
 let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
-    ?(arena_words = 1 lsl 16) ?(table_slots = 4096) ?on_intern
+    ?(arena_words = 1024) ?(table_slots = 256) ?on_intern
     ?(init = ([] : seed list)) ?frontier_limit ?(handoff = false) programs0 =
   let t0 = Sys.time () in
   (* Phase accumulators (no-ops on the disabled profiler). [expand] is
@@ -351,7 +351,12 @@ let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
      expanded). The worklist carries plain ids, the hot dedup path
      compares ids instead of re-hashing keys, re-arrivals at an
      interned state count as [canon_hits], and the intern hit path
-     allocates nothing. *)
+     allocates nothing.
+
+     Every buffer starts small and doubles on demand: most explorations
+     visit tens to hundreds of states, and zero-filling room for tens
+     of thousands up front would cost more than such an exploration. *)
+  let init_ids = 128 in
   let round_pow2 x =
     let c = ref 16 in
     while !c < x do
@@ -363,11 +368,11 @@ let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
   let arena_used = ref 0 in
   let arena_growths = ref 0 in
   let table = ref (Array.make (round_pow2 table_slots) 0) in
-  let key_off = ref (Array.make 1024 0) in
-  let key_len = ref (Array.make 1024 0) in
-  let key_hash = ref (Array.make 1024 0) in
-  let sleeps = ref (Array.make 1024 (-1)) in
-  let slclss = ref (Array.make 1024 0) in
+  let key_off = ref (Array.make init_ids 0) in
+  let key_len = ref (Array.make init_ids 0) in
+  let key_hash = ref (Array.make init_ids 0) in
+  let sleeps = ref (Array.make init_ids (-1)) in
+  let slclss = ref (Array.make init_ids 0) in
   (* Per-state subtree summaries for source-DPOR under hash-cons dedup:
      once a state's DFS subtree has completed, [sum_r]/[sum_w] hold the
      aggregated read/write footprint per action proc (stride [2n]) of
@@ -379,9 +384,13 @@ let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
      backtrack points, never fewer). Only allocated under [dpor]. *)
   let nacts = 2 * n in
   let sum_stride = max nacts 1 in
-  let sum_r = ref (if dpor then Array.make (1024 * sum_stride) 0 else [||]) in
-  let sum_w = ref (if dpor then Array.make (1024 * sum_stride) 0 else [||]) in
-  let sum_cc = ref (if dpor then Array.make 1024 0 else [||]) in
+  let sum_r =
+    ref (if dpor then Array.make (init_ids * sum_stride) 0 else [||])
+  in
+  let sum_w =
+    ref (if dpor then Array.make (init_ids * sum_stride) 0 else [||])
+  in
+  let sum_cc = ref (if dpor then Array.make init_ids 0 else [||]) in
   let nstates = ref 0 in
   let rehash () =
     let cap = 2 * Array.length !table in
@@ -663,9 +672,9 @@ let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
      rule justified each slept action, for the per-class skip stats.
      Stored as three parallel int stacks (same LIFO order as the old
      list-of-tuples worklist, no per-push allocation). *)
-  let wl_id = ref (Array.make 1024 0) in
-  let wl_sleep = ref (Array.make 1024 0) in
-  let wl_cls = ref (Array.make 1024 0) in
+  let wl_id = ref (Array.make init_ids 0) in
+  let wl_sleep = ref (Array.make init_ids 0) in
+  let wl_cls = ref (Array.make init_ids 0) in
   let wl_sp = ref 0 in
   let wl_push id sleep cls =
     let cap = Array.length !wl_id in
@@ -1913,7 +1922,11 @@ let enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ?(dpor = false)
           elapsed = Sys.time () -. t0;
         };
     },
-    (!nstates, !arena_growths, !arena_used, List.rev !seeds_out) )
+    ( !nstates,
+      !arena_growths,
+      !arena_used,
+      Array.length !table,
+      List.rev !seeds_out ) )
 
 (* Intra-exploration parallelism: a sequential phase 1 runs the plain
    worklist engine until the frontier holds a few seeds per domain,
@@ -1930,7 +1943,7 @@ let explore_par ~mode ~addrs ~regs ~max_states ~profiler ~dpor ~task_budget pool
     programs =
   let t0 = Sys.time () in
   let d = Tbtso_par.Pool.domains pool in
-  let r1, (_, _, _, seeds) =
+  let r1, (_, _, _, _, seeds) =
     enumerate_core ~mode ~addrs ~regs ~max_states ~profiler ~dpor:false
       ~frontier_limit:(4 * d) ~handoff:true programs
   in
@@ -1957,7 +1970,7 @@ let explore_par ~mode ~addrs ~regs ~max_states ~profiler ~dpor ~task_budget pool
           batch
       in
       Array.iter
-        (fun (r, (_, _, _, hand)) ->
+        (fun (r, (_, _, _, _, hand)) ->
           List.iter (fun o -> Hashtbl.replace outcomes o ()) r.outcomes;
           total_visited := !total_visited + r.stats.visited;
           let s = !st and t = r.stats in
@@ -2289,16 +2302,21 @@ let record_stats registry s =
   Metrics.set elapsed (Metrics.gauge_value elapsed +. s.elapsed)
 
 module For_tests = struct
-  type debug = { interned : int; arena_growths : int; arena_words : int }
+  type debug = {
+    interned : int;
+    arena_growths : int;
+    arena_words : int;
+    table_slots : int;
+  }
 
   let explore_instrumented ~mode ?(addrs = 4) ?(regs = 4)
       ?(max_states = default_max_states) ?(dpor = false) ?arena_words
       ?table_slots ?on_intern programs =
-    let r, (interned, arena_growths, arena_words, _) =
+    let r, (interned, arena_growths, arena_words, table_slots, _) =
       enumerate_core ~mode ~addrs ~regs ~max_states ~profiler:Span.disabled
         ~dpor ?arena_words ?table_slots ?on_intern programs
     in
-    (r, { interned; arena_growths; arena_words })
+    (r, { interned; arena_growths; arena_words; table_slots })
 
   module Wut = Wut
 end

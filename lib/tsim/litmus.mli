@@ -230,6 +230,8 @@ module For_tests : sig
     arena_growths : int;
         (** Times the packed-key arena had to reallocate (doubling). *)
     arena_words : int;  (** Words of packed keys stored in the arena. *)
+    table_slots : int;
+        (** Final capacity of the open-addressing intern table. *)
   }
 
   val explore_instrumented :
@@ -245,7 +247,9 @@ module For_tests : sig
     result * debug
   (** {!explore} with the arena exposed: [arena_words] / [table_slots]
       set the {e initial} capacities (words / open-addressing slots;
-      deliberately tiny values force mid-exploration growth),
+      defaults 1,024 / 256, sized for the tens to hundreds of states of
+      a typical window; deliberately tiny values force mid-exploration
+      growth),
       [on_intern key id] is called on every intern — hit or miss — with
       a fresh copy of the packed key and the dense id it mapped to. The
       (key, id) stream defines the interning partition: two calls carry

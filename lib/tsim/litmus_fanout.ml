@@ -46,48 +46,73 @@ let sat_of test (r : Axiomatic.result) =
   }
 
 (* SC-robustness of a mode, decided by one incremental containment
-   query against the session's SC baseline. The session is built once
-   per file and shared across all of the file's modes (see [check]):
-   the encode and the SC baseline are mode-independent, so each further
-   mode costs one containment query on the retained clause database —
-   learned clauses included — instead of a full re-encode. *)
+   query against the session's SC baseline. *)
 let robust_of sess mode =
   match Axiomatic.robust sess mode with
   | `Robust -> { robust_holds = true; robust_witness = None }
   | `Witness w -> { robust_holds = false; robust_witness = Some w }
 
+(* The tasks grouped by file, in first-occurrence order, each paired
+   with its index in [tasks]. The key includes the program, so that
+   hand-built tasks reusing a path never share a session across
+   different programs. *)
+let group_by_file tasks =
+  let groups = Hashtbl.create 16 in
+  let order = ref [] in
+  List.iteri
+    (fun i t ->
+      let key = (t.path, t.test.Litmus_parse.program) in
+      match Hashtbl.find_opt groups key with
+      | Some cell -> cell := (i, t) :: !cell
+      | None ->
+          Hashtbl.add groups key (ref [ (i, t) ]);
+          order := key :: !order)
+    tasks;
+  List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
+
 let check ?pool ?max_states ?(oracle = Explorer)
     ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false)
     ?(dpor = false) tasks =
-  (* Each task runs inside one span labelled [file:mode] on whichever
-     domain the pool hands it to, so a profiled [-j N] check shows the
-     per-task schedule across domain tracks.
+  (* The unit of work is the file: [load] fans each file out into one
+     task per mode, and the SAT side of every mode is one query on a
+     single per-file [Axiomatic.session] — the encode (and, for
+     [robust], the SC baseline) is mode-independent, so each further
+     mode costs one incremental query on the retained clause database,
+     learned clauses included, instead of a fresh encode. The session
+     is built on first use, so explorer-only runs never encode.
 
-     When there are fewer tasks than domains, task-level fan-out would
+     When there are fewer files than domains, file-level fan-out would
      leave domains idle, so the pool is instead routed {e inside} each
-     exploration: tasks run sequentially in the caller and the explorer
+     exploration: files run sequentially in the caller and the explorer
      splits its own frontier across the pool (outcome sets are
      byte-identical either way — see [Litmus.explore ?pool]). The SAT
-     oracle has no intra-task split, so [Sat] keeps task-level
-     fan-out. *)
+     oracle has no intra-query split, so [Sat] keeps file-level
+     fan-out.
+
+     Each task runs inside one span labelled [file:mode] on whichever
+     domain the pool hands its file to, so a profiled [-j N] check shows
+     the schedule across domain tracks. *)
+  let files = group_by_file tasks in
   let intra =
     match pool with
     | Some p
       when oracle <> Sat
-           && (not robust)
-           && List.compare_length_with tasks (Tbtso_par.Pool.domains p) < 0
+           && List.compare_length_with files (Tbtso_par.Pool.domains p) < 0
       ->
         Some p
     | _ -> None
   in
-  let task_pool = if intra = None then pool else None in
-  let one ?robust_query task =
+  let file_pool = if intra = None then pool else None in
+  let one sess task =
     Tbtso_obs.Span.with_span profiler
       (Printf.sprintf "%s:%s"
          (Filename.basename task.path)
          (Litmus_parse.mode_id task.mode))
     @@ fun () ->
-    let robustness = Option.map (fun q -> q ()) robust_query in
+    let robustness =
+      if robust then Some (robust_of (Lazy.force sess) task.mode) else None
+    in
+    let sat () = Axiomatic.enumerate_session (Lazy.force sess) task.mode in
     match oracle with
     | Explorer ->
         {
@@ -101,14 +126,10 @@ let check ?pool ?max_states ?(oracle = Explorer)
           robustness;
         }
     | Sat ->
-        let r =
-          Axiomatic.explore ~mode:task.mode ~profiler
-            task.test.Litmus_parse.program
-        in
         {
           task;
           result = None;
-          sat = Some (sat_of task.test r);
+          sat = Some (sat_of task.test (sat ()));
           disagree = None;
           robustness;
         }
@@ -117,10 +138,7 @@ let check ?pool ?max_states ?(oracle = Explorer)
           Litmus.explore ~mode:task.mode ?max_states ~profiler ~dpor
             ?pool:intra task.test.Litmus_parse.program
         in
-        let sx =
-          Axiomatic.explore ~mode:task.mode ~profiler
-            task.test.Litmus_parse.program
-        in
+        let sx = sat () in
         (* A partial exploration is a sound subset for either oracle, so
            a disagreement is provable whenever an outcome escapes a
            COMPLETE other side; with both sides complete the symmetric
@@ -146,63 +164,27 @@ let check ?pool ?max_states ?(oracle = Explorer)
           robustness;
         }
   in
-  if not robust then
-    match task_pool with
-    | None -> List.map (fun t -> one t) tasks
-    | Some pool -> Tbtso_par.Pool.map_list pool (fun t -> one t) tasks
-  else begin
-    (* Robustness shares one SAT session per FILE: [load] fans each
-       file out into one task per mode, and the session's encode + SC
-       baseline are mode-independent, so the unit of work becomes the
-       file, not the task.  Group tasks by path in first-occurrence
-       order, run each group on one session, and scatter the verdicts
-       back to their original positions — the result list is identical
-       (order included) to the per-task dispatch, and seq vs [-j N]
-       stays byte-identical because [Pool.map_list] preserves order. *)
-    let groups : (string, (int * task) list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let order = ref [] in
-    List.iteri
-      (fun i t ->
-        match Hashtbl.find_opt groups t.path with
-        | Some cell -> cell := (i, t) :: !cell
-        | None ->
-            Hashtbl.add groups t.path (ref [ (i, t) ]);
-            order := t.path :: !order)
-      tasks;
-    let files =
-      List.rev_map
-        (fun path -> List.rev !(Hashtbl.find groups path))
-        !order
-      |> List.rev
-    in
-    let run_file = function
-      | [] -> []
-      | (_, t0) :: _ as its ->
-          let sess =
-            Axiomatic.session ~profiler t0.test.Litmus_parse.program
-          in
-          List.map
-            (fun (i, t) ->
-              (i, one ~robust_query:(fun () -> robust_of sess t.mode) t))
-            its
-    in
-    let scattered =
-      match task_pool with
-      | None -> List.map run_file files
-      | Some pool -> Tbtso_par.Pool.map_list pool run_file files
-    in
-    let n = List.length tasks in
-    let out = Array.make n None in
-    List.iter
-      (List.iter (fun (i, v) -> out.(i) <- Some v))
-      scattered;
-    Array.to_list out
-    |> List.map (function
-         | Some v -> v
-         | None -> assert false (* every index scattered exactly once *))
-  end
+  let run_file = function
+    | [] -> []
+    | (_, t0) :: _ as its ->
+        let sess =
+          lazy (Axiomatic.session ~profiler t0.test.Litmus_parse.program)
+        in
+        List.map (fun (i, t) -> (i, one sess t)) its
+  in
+  let scattered =
+    match file_pool with
+    | None -> List.map run_file files
+    | Some pool -> Tbtso_par.Pool.map_list pool run_file files
+  in
+  (* Scatter the verdicts back to task order; [Pool.map_list] preserves
+     order, so seq vs [-j N] stays byte-identical. *)
+  let out = Array.make (List.length tasks) None in
+  List.iter (List.iter (fun (i, v) -> out.(i) <- Some v)) scattered;
+  Array.to_list out
+  |> List.map (function
+       | Some v -> v
+       | None -> assert false (* every index scattered exactly once *))
 
 let disagreement_witness v =
   match v.disagree with None -> None | Some ws -> Some (List.hd ws)

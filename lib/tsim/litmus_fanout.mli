@@ -8,15 +8,15 @@
 
     Each task can be answered by one of two independent oracles — the
     operational explorer ({!Litmus_parse.check} over {!Litmus.explore})
-    or the axiomatic SAT encoding ({!Axiomatic.explore}) — or by
+    or the axiomatic SAT encoding ({!Axiomatic}) — or by
     {e both}, in which case their outcome sets are cross-checked and
     any mismatch becomes the dominant {b [`Disagree]} severity (exit
     code 3): one oracle is provably wrong about the paper's model.
 
-    Safe to fan out because each check builds its entire exploration
-    (or solver) state per call — the [tsim] library keeps no
-    module-level mutable state (audited for the worker-pool change; keep
-    it that way). *)
+    Safe to fan out because each file's checks build their entire
+    exploration and solver state per call, on the one domain that runs
+    the file — the [tsim] library keeps no module-level mutable state
+    (audited for the worker-pool change; keep it that way). *)
 
 type oracle =
   | Explorer  (** Operational state-space exploration (default). *)
@@ -76,15 +76,22 @@ val check :
   task list ->
   verdict list
 (** Run every task under the chosen oracle(s) and return verdicts in
-    task order. With a [pool] the tasks fan out across its domains
-    (results still land in submission order); without one, or with a
-    pool of one domain, the run is sequential in the caller. When
-    there are {e fewer tasks than pool domains} (and the oracle needs
-    the explorer, and [robust] is off), the pool is instead routed
-    inside each exploration — the explorer splits its own frontier
-    across the domains ({!Litmus.explore}[ ?pool]) so a single
-    heavyweight (file, mode) task still benefits from [-j N]; verdicts
-    are byte-identical either way. [dpor] (default off) switches the
+    task order. The unit of work is the file (the tasks sharing a
+    [path] and program, as {!load} makes them): every SAT-side query of
+    a file — each mode's {!Axiomatic.enumerate_session} and each
+    {!Axiomatic.robust} — runs on one {!Axiomatic.session}, built on
+    first use, so a file is encoded once whatever the number of modes,
+    and an explorer-only run never encodes. The per-verdict
+    [sat_stats] are that query's own work (see {!Axiomatic.stats}).
+    With a [pool] the files fan out across its domains (results still
+    land in submission order); without one, or with a pool of one
+    domain, the run is sequential in the caller. When there are
+    {e fewer files than pool domains} (and the oracle needs the
+    explorer), the pool is instead routed inside each exploration —
+    the explorer splits its own frontier across the domains
+    ({!Litmus.explore}[ ?pool]) so a single heavyweight file still
+    benefits from [-j N]; outcome sets and verdicts are byte-identical
+    either way. [dpor] (default off) switches the
     explorer to source-DPOR reduction — same outcome sets, fewer
     visited states (see {!Litmus.explore}).
     [max_states] budgets the explorer only; the SAT oracle uses its own

@@ -92,7 +92,6 @@ type t = {
   mutable interrupt_hook : (tid:int -> now:int -> unit) option;
   mutable label_hook : (tid:int -> now:int -> string -> unit) option;
   mutable event_hook : (tid:int -> now:int -> event -> unit) option;
-  mutable running : thread option;  (* thread currently being resumed *)
   mutable first_failure : (int * exn) option;
   mutable quiesce_until : int;  (* Tbtso_hw: system frozen until this tick *)
   mutable quiescence_events : int;
@@ -119,7 +118,6 @@ let create cfg =
     interrupt_hook = None;
     label_hook = None;
     event_hook = None;
-    running = None;
     first_failure = None;
     quiesce_until = 0;
     quiescence_events = 0;
@@ -354,9 +352,7 @@ let spawn t body =
   t.threads <- threads;
   t.nthreads <- tid + 1;
   t.unfinished <- t.unfinished + 1;
-  t.running <- Some th;
   start_thread t th body;
-  t.running <- None;
   tid
 
 (* --- Machine actions --- *)
@@ -418,11 +414,8 @@ let drain_delay t th =
   | Config.Drain_geometric { p; cap } -> Rng.geometric th.drain_rng ~p ~cap
   | Config.Drain_adversarial -> max_int / 2
 
-let resume_thread t th v =
-  let prev = t.running in
-  t.running <- Some th;
+let resume_thread th v =
   th.resume v;
-  t.running <- prev;
   match th.failure with
   | Some exn -> raise (Thread_failure { tid = th.tid; exn })
   | None -> ()
@@ -470,7 +463,7 @@ let exec t th =
           th.st.loads <- th.st.loads + 1;
           emit t th (Ev_load { addr = a; value = v });
           th.pending <- None;
-          resume_thread t th v;
+          resume_thread th v;
           true
       | O_store (a, v) when
           (match t.cfg.Config.consistency with
@@ -502,7 +495,7 @@ let exec t th =
           th.ready_at <- t.clock + costs.store;
           emit t th (Ev_store { addr = a; value = v });
           th.pending <- None;
-          resume_thread t th 0;
+          resume_thread th 0;
           true
       | O_fence ->
           if Store_buffer.is_empty th.buf then begin
@@ -510,7 +503,7 @@ let exec t th =
             th.ready_at <- t.clock + costs.fence;
             emit t th Ev_fence;
             th.pending <- None;
-            resume_thread t th 0;
+            resume_thread th 0;
             true
           end
           else
@@ -551,7 +544,7 @@ let exec t th =
             in
             th.ready_at <- t.clock + costs.cas;
             th.pending <- None;
-            resume_thread t th result;
+            resume_thread th result;
             true
           end
       | O_clock ->
@@ -559,7 +552,7 @@ let exec t th =
           th.ready_at <- t.clock + costs.clock_read;
           emit t th (Ev_clock t.clock);
           th.pending <- None;
-          resume_thread t th t.clock;
+          resume_thread th t.clock;
           true
       | O_work n ->
           th.ready_at <- t.clock + n;
@@ -572,7 +565,7 @@ let exec t th =
           true
       | O_complete ->
           th.pending <- None;
-          resume_thread t th 0;
+          resume_thread th 0;
           true)
 
 let interrupt t th =

@@ -482,18 +482,18 @@ let prop_dpor_equals_reference =
           d = enumerate ~mode p && d = enumerate_reference ~mode p)
         diff_modes)
 
+let iriw =
+  [
+    [ Store (x, 1) ];
+    [ Store (y, 1) ];
+    [ Load (x, r0); Load (y, r1) ];
+    [ Load (y, r0); Load (x, r1) ];
+  ]
+
 let test_dpor_reduces_iriw () =
   (* The acceptance bar from the issue: on 4-thread IRIW the DPOR
      engine must visit at most half the states of the sleep-set-only
      explorer in at least one mode, with an identical outcome set. *)
-  let iriw =
-    [
-      [ Store (x, 1) ];
-      [ Store (y, 1) ];
-      [ Load (x, r0); Load (y, r1) ];
-      [ Load (y, r0); Load (x, r1) ];
-    ]
-  in
   let base = explore ~mode:M_tso iriw in
   let dpor = explore ~mode:M_tso ~dpor:true iriw in
   check_bool "outcome sets identical" true (base.outcomes = dpor.outcomes);
@@ -844,6 +844,108 @@ let test_session_robustness () =
   check_bool "post-query enumeration intact" true
     (r.Axiomatic.complete && r.Axiomatic.outcomes = enumerate ~mode:M_tso sb)
 
+let test_shared_session_matches_fresh () =
+  (* One session per file serving every mode (what [Litmus_fanout.check]
+     does) must answer exactly like a fresh session per mode, over both
+     corpora and the CI modes: same outcome sets, completeness and
+     condition verdicts. *)
+  match corpus_paths () @ gen_corpus_paths () with
+  | [] -> Alcotest.fail "litmus corpus not found (missing dune deps?)"
+  | paths ->
+      List.iter
+        (fun path ->
+          let test = Litmus_parse.parse (read_file path) in
+          let sess = Axiomatic.session test.program in
+          List.iter
+            (fun mode ->
+              let shared = Axiomatic.enumerate_session sess mode in
+              let fresh = Axiomatic.explore ~mode test.program in
+              check_bool
+                (Printf.sprintf "%s under %s: shared ≡ fresh session"
+                   (Filename.basename path) (Litmus_parse.mode_id mode))
+                true
+                (shared.Axiomatic.outcomes = fresh.Axiomatic.outcomes
+                && shared.Axiomatic.complete = fresh.Axiomatic.complete))
+            sat_corpus_modes)
+        paths;
+      let tasks = Litmus_fanout.load ~modes:sat_corpus_modes paths in
+      List.iter
+        (fun (v : Litmus_fanout.verdict) ->
+          let t = v.Litmus_fanout.task in
+          let fresh = Axiomatic.explore ~mode:t.mode t.test.program in
+          match v.Litmus_fanout.sat with
+          | None -> Alcotest.fail "SAT oracle did not run"
+          | Some sc ->
+              check_bool
+                (Printf.sprintf "%s under %s: fanout verdict ≡ fresh session"
+                   (Filename.basename t.path) (Litmus_parse.mode_id t.mode))
+                true
+                (sc.Litmus_fanout.sat_holds
+                 = Litmus_parse.holds_on t.test fresh.Axiomatic.outcomes
+                && sc.Litmus_fanout.sat_outcome_count
+                   = List.length fresh.Axiomatic.outcomes
+                && sc.Litmus_fanout.sat_complete = fresh.Axiomatic.complete))
+        (Litmus_fanout.check ~oracle:Litmus_fanout.Sat tasks)
+
+let test_query_stats_sum_to_session () =
+  (* Each enumeration reports its own work, not the solver's lifetime
+     counters: over a shared session the per-query numbers sum to the
+     session totals, and a complete query makes one solve per outcome
+     plus the closing UNSAT one. *)
+  let sess = Axiomatic.session (tbtso_flag 4) in
+  let rs =
+    List.map (Axiomatic.enumerate_session sess) (sat_corpus_modes @ [ M_tso ])
+  in
+  let total = Axiomatic.session_stats sess in
+  let sum f = List.fold_left (fun a (r : Axiomatic.result) -> a + f r.stats) 0 rs in
+  List.iter
+    (fun (name, f) -> check_int ("sum of per-query " ^ name) (f total) (sum f))
+    [
+      ("solves", fun (s : Axiomatic.stats) -> s.solves);
+      ("conflicts", fun s -> s.conflicts);
+      ("decisions", fun s -> s.decisions);
+      ("propagations", fun s -> s.propagations);
+      ("restarts", fun s -> s.restarts);
+      ("outcomes", fun s -> s.outcomes);
+    ];
+  check_bool "the run did some conflict analysis" true (total.conflicts > 0);
+  List.iter
+    (fun (r : Axiomatic.result) ->
+      check_int "one solve per outcome, plus one" (r.stats.outcomes + 1)
+        r.stats.solves;
+      check_int "formula size is a session snapshot" total.vars r.stats.vars)
+    [ List.nth rs (List.length rs - 1) ]
+
+let test_known_dpor_miss_is_caught () =
+  (* Source-DPOR misses a reachable outcome on these windows (see
+     "Known DPOR miss" in bench/perf/README.md); the cross-check of
+     [--oracle both] must report each as an oracle disagreement. Once
+     DPOR is fixed, this test flips to expecting agreement. *)
+  List.iter
+    (fun (name, text, mode) ->
+      let tasks =
+        [ { Litmus_fanout.path = name; test = Litmus_parse.parse text; mode } ]
+      in
+      let vs = Litmus_fanout.check ~oracle:Litmus_fanout.Both ~dpor:true tasks in
+      check_bool (name ^ ": disagreement reported") true
+        (List.map Litmus_fanout.severity vs = [ `Disagree ]);
+      check_int (name ^ ": exits 3") 3 (Litmus_fanout.exit_code vs);
+      (* The miss is DPOR's: the sleep-set explorer agrees with SAT. *)
+      check_bool (name ^ ": sleep-set explorer agrees") true
+        (List.for_all
+           (fun (v : Litmus_fanout.verdict) -> v.disagree = None)
+           (Litmus_fanout.check ~oracle:Litmus_fanout.Both tasks)))
+    [
+      ( "three threads, sc",
+        "thread\n load y -> r1\n store x 2\nthread\n store x 1\nthread\n\
+        \ store x 1\n load x -> r3\n store y 1\nexists 0:r1 = 1\n",
+        M_sc );
+      ( "two threads, tso",
+        "thread\n store z 1\n load y -> r1\n store x 2\n load x -> r1\n\
+         thread\n store x 1\n fence\n store w 1\nexists 0:r1 = 0\n",
+        M_tso );
+    ]
+
 let test_adviser_verdicts () =
   (match Adviser.minimal_delta (Axiomatic.session sb) with
   | Adviser.Breaks_at { max_robust = 3; min_unsafe = 4 }, Some _ -> ()
@@ -1086,18 +1188,14 @@ let prop_packed_key_partition =
           !ok && dbg.For_tests.interned = !next)
         [ M_sc; M_tso; M_tbtso 3 ])
 
+(* Every stats counter except the time-valued [elapsed]. *)
+let same_stats (a : stats) (b : stats) = { a with elapsed = 0. } = { b with elapsed = 0. }
+
 let test_arena_growth_stress () =
   (* Start the arena and the intern table deliberately tiny so both must
      reallocate mid-exploration (the arena at least twice), and check
      growth relocates nothing observable: outcomes and every stats
      counter match a run that started at the default capacities. *)
-  let same_stats (a : stats) (b : stats) =
-    a.visited = b.visited && a.dedup_hits = b.dedup_hits
-    && a.canon_hits = b.canon_hits && a.zones_merged = b.zones_merged
-    && a.max_frontier = b.max_frontier && a.time_leaps = b.time_leaps
-    && a.sleep_skips = b.sleep_skips && a.dd_skips = b.dd_skips
-    && a.di_skips = b.di_skips && a.ii_skips = b.ii_skips
-  in
   List.iter
     (fun (name, mode, p) ->
       let big, dbg_big = For_tests.explore_instrumented ~mode p in
@@ -1127,7 +1225,47 @@ let test_arena_growth_stress () =
       ("flag tbtso:6", M_tbtso 6, tbtso_flag 6);
     ]
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+let test_default_buffers_grow_on_iriw () =
+  (* The default capacities fit a typical two-thread window, so 4-thread
+     IRIW must outgrow both the arena and the intern table, and the
+     growth must be invisible against a run started at the capacities
+     the explorer used to preallocate (65,536 words, 4,096 slots). *)
+  List.iter
+    (fun (name, mode, dpor) ->
+      let small, dbg_small = For_tests.explore_instrumented ~mode ~dpor iriw in
+      let big, dbg_big =
+        For_tests.explore_instrumented ~mode ~dpor ~arena_words:65_536
+          ~table_slots:4_096 iriw
+      in
+      check_bool (name ^ ": arena grew") true (dbg_small.For_tests.arena_growths >= 1);
+      check_bool (name ^ ": table grew") true (dbg_small.For_tests.table_slots > 256);
+      check_bool (name ^ ": no growth at the old sizes") true
+        (dbg_big.For_tests.arena_growths = 0 && dbg_big.For_tests.table_slots = 4_096);
+      check_bool (name ^ ": same interning") true
+        (dbg_small.For_tests.interned = dbg_big.For_tests.interned
+        && dbg_small.For_tests.arena_words = dbg_big.For_tests.arena_words);
+      check_bool (name ^ ": same outcomes") true
+        (small.outcomes = big.outcomes && small.complete = big.complete);
+      check_bool (name ^ ": same stats") true (same_stats small.stats big.stats))
+    [
+      ("IRIW tso", M_tso, false);
+      ("IRIW tbtso:4", M_tbtso 4, false);
+      ("IRIW tbtso:4 dpor", M_tbtso 4, true);
+    ]
+
+(* The qcheck suites draw from a fixed seed, so that a run of the tier-1
+   suite is repeatable; set QCHECK_SEED to explore other draws. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some seed -> seed
+  | None -> 20150314
+
+let qsuite name tests =
+  ( name,
+    List.map
+      (fun t ->
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |]) t)
+      tests )
 
 let () =
   Alcotest.run "litmus"
@@ -1178,6 +1316,8 @@ let () =
           Alcotest.test_case "partial result on budget" `Quick test_explore_partial_result;
           Alcotest.test_case "arena growth is invisible" `Quick
             test_arena_growth_stress;
+          Alcotest.test_case "default buffers grow on IRIW" `Quick
+            test_default_buffers_grow_on_iriw;
         ] );
       ( "dpor",
         [
@@ -1216,6 +1356,12 @@ let () =
             test_session_robustness;
           Alcotest.test_case "adviser verdicts vs explorer" `Quick
             test_adviser_verdicts;
+          Alcotest.test_case "shared session ≡ fresh per mode" `Quick
+            test_shared_session_matches_fresh;
+          Alcotest.test_case "per-query stats sum to the session" `Quick
+            test_query_stats_sum_to_session;
+          Alcotest.test_case "known DPOR miss is a disagreement" `Quick
+            test_known_dpor_miss_is_caught;
         ] );
       qsuite "differential"
         [

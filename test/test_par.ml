@@ -104,14 +104,19 @@ let litmus_dir () =
     (fun d -> Sys.file_exists d && Sys.is_directory d)
     [ "../litmus"; "litmus" ]
 
+(* The hand-written corpus, then the generated one in litmus/gen. *)
 let corpus () =
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".litmus")
+    |> List.sort compare
+    |> List.map (Filename.concat dir)
+  in
   match litmus_dir () with
   | None -> []
   | Some dir ->
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".litmus")
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
+      let gen = Filename.concat dir "gen" in
+      files dir @ if Sys.file_exists gen then files gen else []
 
 (* Strip the fields that legitimately differ between two runs of the
    same checks: wall-clock-valued stats and the [par.*] pool metrics
@@ -235,6 +240,9 @@ let test_oracle_both_corpus () =
           check_bool "sat runs use schema tbtso-sat/2" true
             (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/2"))
       | _ -> Alcotest.fail "json_doc not an object");
+      (* Each file's modes share one SAT session, so the per-verdict
+         sat.stats depend on the order of the file's queries; -j 2 runs
+         a file's modes in that same order on one domain. *)
       Alcotest.(check string)
         "both-oracle JSON byte-identical seq vs par"
         (Json.to_string (scrub seq_doc))
@@ -284,8 +292,8 @@ let test_forced_steal_outcomes () =
           ("tsos2", Litmus.M_tsos 2);
         ])
 
-(* With fewer tasks than pool domains, Litmus_fanout routes the pool
-   inside the one exploration instead of fanning tasks out; verdicts
+(* With fewer files than pool domains, Litmus_fanout routes the pool
+   inside the one exploration instead of fanning files out; verdicts
    must be indistinguishable from the sequential run. *)
 let test_intra_exploration_routing () =
   match corpus () with

@@ -53,7 +53,10 @@ type t = {
   consistency : consistency;
   costs : costs;
   drain : drain_dist;
-  mem_words : int;  (** Size of simulated memory in words. *)
+  mem_words : int;
+      (** Size of the simulated address space in words. {!Memory} backs
+          it a page at a time, on the first write to each page, so an
+          oversized value costs no host memory. *)
   cache_bits : int;  (** log2 of per-thread direct-mapped cache entries. *)
   detect_uaf : bool;  (** Raise on access to freed heap words. *)
   interrupt_period : int option;

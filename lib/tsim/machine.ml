@@ -62,11 +62,23 @@ let drain_kinds = [ D_voluntary; D_delta; D_interrupt; D_exit ]
 
 let kind_index = function D_voluntary -> 0 | D_delta -> 1 | D_interrupt -> 2 | D_exit -> 3
 
+(* A suspended thread: its continuation and the converter from the
+   machine's int answer to the value its effect returns. The converters
+   are closed top-level functions, so stashing allocates one block. *)
+type stash =
+  | Unstarted
+  | Stash : ('a, unit) Effect.Deep.continuation * (int -> 'a) -> stash
+
+let as_int (v : int) = v
+
+let as_unit (_ : int) = ()
+
+let as_bool v = v <> 0
+
 type thread = {
   tid : int;
   mutable pending : op option;
-  mutable resume : int -> unit;
-  mutable abort : unit -> unit;
+  mutable stash : stash;
   buf : Store_buffer.t;
   cache : Cache.t;
   mutable ready_at : int;  (* thread cannot execute before this tick *)
@@ -138,6 +150,10 @@ let set_interrupt_hook t f = t.interrupt_hook <- Some f
 let set_label_hook t f = t.label_hook <- Some f
 
 let set_event_hook t f = t.event_hook <- Some f
+
+(* Callers test [tracing] before building an event, so that an unhooked
+   machine allocates none. *)
+let tracing t = match t.event_hook with Some _ -> true | None -> false
 
 let emit t th ev =
   match t.event_hook with Some f -> f ~tid:th.tid ~now:t.clock ev | None -> ()
@@ -227,7 +243,7 @@ let residency t tid =
   !acc
 
 (* --- Thread startup: run the body under a deep handler that stashes each
-   instruction as [pending] together with a [resume] closure. --- *)
+   instruction as [pending] together with its continuation. --- *)
 
 let start_thread t (th : thread) (body : unit -> unit) =
   let open Effect.Deep in
@@ -258,56 +274,47 @@ let start_thread t (th : thread) (body : unit -> unit) =
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_load a);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+                  th.stash <- Stash (k, as_int))
           | Sim.E_store (a, v) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_store (a, v));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+                  th.stash <- Stash (k, as_unit))
           | Sim.E_cas (a, e, d) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_cas (a, e, d));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k (v <> 0)))
+                  th.stash <- Stash (k, as_bool))
           | Sim.E_faa (a, n) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_faa (a, n));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+                  th.stash <- Stash (k, as_int))
           | Sim.E_xchg (a, v) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_xchg (a, v));
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+                  th.stash <- Stash (k, as_int))
           | Sim.E_fence ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some O_fence;
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+                  th.stash <- Stash (k, as_unit))
           | Sim.E_clock ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some O_clock;
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun v -> continue k v))
+                  th.stash <- Stash (k, as_int))
           | Sim.E_work n ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_work n);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+                  th.stash <- Stash (k, as_unit))
           | Sim.E_stall_until target ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_stall_until target);
-                  th.abort <- (fun () -> discontinue k Sim.Killed);
-                  th.resume <- (fun _ -> continue k ()))
+                  th.stash <- Stash (k, as_unit))
           (* Meta-operations: answered immediately, no machine action. *)
           | Sim.E_tid -> Some (fun (k : (a, unit) continuation) -> continue k th.tid)
           | Sim.E_stopping ->
@@ -330,8 +337,7 @@ let spawn t body =
     {
       tid;
       pending = None;
-      resume = (fun _ -> ());
-      abort = (fun () -> ());
+      stash = Unstarted;
       buf = Store_buffer.create ();
       cache = Cache.create ~bits:t.cfg.Config.cache_bits;
       ready_at = 0;
@@ -377,7 +383,7 @@ let commit t th (e : Store_buffer.entry) ~kind =
   let age = t.clock - e.enqueued_at in
   Tbtso_obs.Hist.observe th.res.(kind_index kind) age;
   if age > th.st.max_residency then th.st.max_residency <- age;
-  emit t th (Ev_commit { addr = e.addr; value = e.value; age; kind })
+  if tracing t then emit t th (Ev_commit { addr = e.addr; value = e.value; age; kind })
 
 let drain_one t th ~kind =
   commit t th (Store_buffer.dequeue_oldest th.buf) ~kind
@@ -415,7 +421,9 @@ let drain_delay t th =
   | Config.Drain_adversarial -> max_int / 2
 
 let resume_thread th v =
-  th.resume v;
+  (match th.stash with
+  | Stash (k, conv) -> Effect.Deep.continue k (conv v)
+  | Unstarted -> ());
   match th.failure with
   | Some exn -> raise (Thread_failure { tid = th.tid; exn })
   | None -> ()
@@ -461,7 +469,7 @@ let exec t th =
       | O_load a ->
           let v = tso_read t th a ~charge:true in
           th.st.loads <- th.st.loads + 1;
-          emit t th (Ev_load { addr = a; value = v });
+          if tracing t then emit t th (Ev_load { addr = a; value = v });
           th.pending <- None;
           resume_thread th v;
           true
@@ -493,7 +501,7 @@ let exec t th =
                   rfo_until = 0;
                 });
           th.ready_at <- t.clock + costs.store;
-          emit t th (Ev_store { addr = a; value = v });
+          if tracing t then emit t th (Ev_store { addr = a; value = v });
           th.pending <- None;
           resume_thread th 0;
           true
@@ -521,22 +529,26 @@ let exec t th =
                   let cur = tso_read t th a ~charge:false in
                   if cur = expected then begin
                     rmw_write t th a desired;
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
+                    if tracing t then
+                      emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
                     1
                   end
                   else begin
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
+                    if tracing t then
+                      emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
                     0
                   end
               | O_faa (a, n) ->
                   let cur = tso_read t th a ~charge:false in
                   rmw_write t th a (cur + n);
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
+                  if tracing t then
+                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
                   cur
               | O_xchg (a, v) ->
                   let cur = tso_read t th a ~charge:false in
                   rmw_write t th a v;
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
+                  if tracing t then
+                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
                   cur
               | O_load _ | O_store _ | O_fence | O_clock | O_work _ | O_stall_until _
               | O_complete ->
@@ -550,7 +562,7 @@ let exec t th =
       | O_clock ->
           th.st.clock_reads <- th.st.clock_reads + 1;
           th.ready_at <- t.clock + costs.clock_read;
-          emit t th (Ev_clock t.clock);
+          if tracing t then emit t th (Ev_clock t.clock);
           th.pending <- None;
           resume_thread th t.clock;
           true
@@ -800,7 +812,9 @@ let kill_remaining t =
         th.pending <- None;
         (* Discontinue the stashed continuation: Sim.Killed unwinds the
            thread body and is absorbed by the handler's exnc. *)
-        th.abort ();
+        (match th.stash with
+        | Stash (k, _) -> Effect.Deep.discontinue k Sim.Killed
+        | Unstarted -> ());
         th.failure <- None
       end
     end

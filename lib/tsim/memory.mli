@@ -1,9 +1,31 @@
 (** Simulated shared memory.
 
-    A flat word-addressed array with per-line version counters used by the
-    coherence cost model, per-word poison flags used for use-after-free
-    detection, and a bump allocator for global (never-freed) variables.
-    Dynamic allocation with reclamation lives in {!Heap}, layered on top. *)
+    A word-addressed space [\[0, words)] with per-line version counters
+    used by the coherence cost model, per-line owner and reader records
+    used by the RFO cost model, per-word poison flags used for
+    use-after-free detection, and a bump allocator for global
+    (never-freed) variables. Dynamic allocation with reclamation lives in
+    {!Heap}, layered on top.
+
+    {2 Paged backing}
+
+    The space is a page table of fixed 4,096-word pages (a whole number
+    of lines). A page is backed by host memory only when a mutator
+    ({!write}, {!note_reader}, {!clear_reader}, {!poison}, {!unpoison})
+    first changes one of its values. Until then its entry points at one
+    shared, never-written zero page holding the fresh-memory values:
+    word 0, line version 0, owner and reader -1, unpoisoned. Reads
+    ({!read}, {!line_version}, {!line_owner}, {!foreign_reader},
+    {!is_poisoned}) never back a page. Paging is invisible to results:
+    every address, value, record and [Out_of_memory] point is what a
+    flat array of [words] words would give, so an oversized [words]
+    costs host memory only for the pages actually touched.
+
+    {2 Out-of-range addresses}
+
+    Every accessor checks its address: one outside [\[0, words)] raises
+    [Invalid_argument], never reads or writes host memory, and never
+    reports {!Use_after_free}. *)
 
 type t
 
@@ -17,8 +39,15 @@ val line_shift : int
 (** log2 of words per cache line (3, i.e. 8-word / 64-byte lines). *)
 
 val create : words:int -> t
+(** [create ~words] is a fresh memory of [words] words, all unbacked.
+    @raise Invalid_argument if [words] is negative. *)
 
 val words : t -> int
+(** Size of the address space, backed or not. *)
+
+val resident_words : t -> int
+(** Words of the pages backed so far: a multiple of the page size, at
+    most [words] rounded up to a whole page. *)
 
 val read : t -> int -> int
 

@@ -18,7 +18,9 @@ type stall_spec = { at : int; duration : int }
 
 type params = {
   spec : Smr_methods.spec;
-  config : Tsim.Config.t;  (** [mem_words] is resized automatically. *)
+  config : Tsim.Config.t;
+      (** [mem_words] is replaced by an address space sized for the
+          worst-case heap; only the pages the run touches are backed. *)
   nthreads : int;
   mix : mix;
   buckets : int;

@@ -151,6 +151,118 @@ let test_mem_line_version () =
   Memory.write m ~tid:0 ~at:6 103 1;
   check_bool "same line bumped" true (Memory.line_version m 96 > v1)
 
+(* Memory is backed a page (4,096 words) at a time; these pin that the
+   paging is invisible. *)
+let page = 4096
+
+let check_fresh m addr =
+  let where = Printf.sprintf "word %d" addr in
+  check_int (where ^ " value") 0 (Memory.read m addr);
+  check_int (where ^ " version") 0 (Memory.line_version m addr);
+  check_int (where ^ " owner") (-1) (Memory.line_owner m addr);
+  check_bool (where ^ " reader") false (Memory.foreign_reader m addr ~tid:0);
+  check_bool (where ^ " poison") false (Memory.is_poisoned m addr)
+
+let test_mem_untouched_defaults () =
+  let words = (3 * page) + 100 in
+  let m = Memory.create ~words in
+  List.iter (check_fresh m) [ 0; page - 1; page; 2 * page; words - 1 ];
+  (* Mutators that change nothing back nothing either. *)
+  Memory.clear_reader m page;
+  Memory.unpoison m (page - 4) ~len:8;
+  check_int "reads back no page" 0 (Memory.resident_words m)
+
+let test_mem_zero_page_isolation () =
+  let p = (5 * page) + 40 in
+  let a = Memory.create ~words:(8 * page) in
+  Memory.write a ~tid:1 ~at:0 p 7;
+  Memory.poison a (p + 8) ~len:2;
+  Memory.note_reader a (p + 16) ~tid:2;
+  check_bool "A sees its reader" true (Memory.foreign_reader a (p + 16) ~tid:0);
+  check_fresh a (p + page);
+  let b = Memory.create ~words:(8 * page) in
+  List.iter (check_fresh b) [ p; p + 8; p + 9; p + 16 ];
+  check_int "B backs nothing" 0 (Memory.resident_words b);
+  check_int "A backs one page" page (Memory.resident_words a);
+  check_int "A keeps its value" 7 (Memory.read a p)
+
+let test_mem_page_boundary () =
+  let m = Memory.create ~words:(2 * page) in
+  Memory.write m ~tid:1 ~at:0 (page - 1) 11;
+  Memory.write m ~tid:2 ~at:0 page 12;
+  check_int "last word of page 0" 11 (Memory.read m (page - 1));
+  check_int "first word of page 1" 12 (Memory.read m page);
+  check_int "owner before the boundary" 1 (Memory.line_owner m (page - 1));
+  check_int "owner after the boundary" 2 (Memory.line_owner m page);
+  check_int "both pages backed" (2 * page) (Memory.resident_words m);
+  let poisoned a = Memory.is_poisoned m a in
+  Memory.poison m (page - 6) ~len:12;
+  check_bool "before the range" false (poisoned (page - 7));
+  for a = page - 6 to page + 5 do
+    check_bool (Printf.sprintf "poisoned %d" a) true (poisoned a)
+  done;
+  check_bool "after the range" false (poisoned (page + 6));
+  Memory.unpoison m (page - 2) ~len:4;
+  check_bool "still poisoned below" true (poisoned (page - 3));
+  for a = page - 2 to page + 1 do
+    check_bool (Printf.sprintf "unpoisoned %d" a) false (poisoned a)
+  done;
+  check_bool "still poisoned above" true (poisoned (page + 2))
+
+let out_of_range f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+let test_mem_partial_last_page () =
+  (* [words] is not a multiple of the page size: the backed last page
+     extends past [words], but the address space does not. *)
+  let words = page + 100 in
+  let m = Memory.create ~words in
+  Memory.write m ~tid:0 ~at:0 (words - 1) 5;
+  check_int "last word" 5 (Memory.read m (words - 1));
+  check_bool "read past the end" true (out_of_range (fun () -> ignore (Memory.read m words)));
+  check_bool "write past the end" true
+    (out_of_range (fun () -> Memory.write m ~tid:0 ~at:0 words 1));
+  check_bool "poison past the end" true
+    (out_of_range (fun () -> Memory.poison m (words - 1) ~len:2));
+  (* Globals: 8 + 4,184 words fit, the next line does not. *)
+  ignore (Memory.alloc_global m (words - 16));
+  (match Memory.alloc_global m 1 with
+  | _ -> Alcotest.fail "alloc_global past the end"
+  | exception Memory.Out_of_memory { requested; available } ->
+      check_int "requested" 1 requested;
+      check_int "available" 4 available);
+  (* The heap arena ends where it did with flat memory. *)
+  let machine = Machine.create { Config.default with Config.mem_words = words } in
+  check_bool "arena too big" true
+    (try
+       ignore (Heap.create machine ~words:(words - 8));
+       false
+     with Memory.Out_of_memory _ -> true);
+  let h = Heap.create machine ~words:(words - 16) in
+  ignore (Heap.alloc h (words - 16));
+  match Heap.alloc h 1 with
+  | _ -> Alcotest.fail "Heap.alloc past the arena"
+  | exception Memory.Out_of_memory { available; _ } -> check_int "heap available" 0 available
+
+let test_mem_resident_bound () =
+  (* The fig6 hash-table cell's memory size, with its peak of live heap:
+     only the pages the heap touches are backed. *)
+  let words = 1_704_960 in
+  let m = Machine.create { Config.default with Config.mem_words = words } in
+  let h = Heap.create m ~words:(1 lsl 20) in
+  for _ = 1 to 65_536 / 4 do
+    ignore (Heap.alloc h 4)
+  done;
+  check_int "live words" 65_536 (Heap.live_words h);
+  let resident = Memory.resident_words (Machine.memory m) in
+  check_bool
+    (Printf.sprintf "resident %d < words / 8" resident)
+    true
+    (resident < words / 8)
+
 (* ------------------------------------------------------------------ *)
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -453,6 +565,42 @@ let test_machine_uaf_detection () =
      with
      | Machine.Thread_failure { exn = Memory.Use_after_free _; _ }
      | Memory.Use_after_free _ -> true)
+
+let test_machine_wild_address () =
+  (* An access outside simulated memory is a program error: Machine.run
+     raises Invalid_argument (directly or as the thread's failure), never
+     Use_after_free, whatever the model and UAF setting. *)
+  let mem_words = 1024 in
+  let ops =
+    [
+      ("load", fun a -> ignore (Sim.load a));
+      ("store", fun a -> Sim.store a 1);
+      ("cas", fun a -> ignore (Sim.cas a ~expected:0 ~desired:1));
+    ]
+  in
+  List.iter
+    (fun (consistency, detect_uaf) ->
+      List.iter
+        (fun addr ->
+          List.iter
+            (fun (name, op) ->
+              let cfg = { Config.default with Config.mem_words; consistency; detect_uaf } in
+              let m = Machine.create cfg in
+              ignore (Machine.spawn m (fun () -> op addr));
+              let outcome =
+                match Machine.run m with
+                | _ -> "returned"
+                | exception Invalid_argument _
+                | exception Machine.Thread_failure { exn = Invalid_argument _; _ } ->
+                    "invalid"
+                | exception e -> Printexc.to_string e
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s at %d (uaf %b)" name addr detect_uaf)
+                "invalid" outcome)
+            ops)
+        [ -1; mem_words; 1 lsl 40 ])
+    [ (Config.Sc, true); (Config.Tso, true); (Config.Tso, false); (Config.Tbtso 200, false) ]
 
 let test_machine_uaf_on_buffered_store_commit () =
   (* A store issued while the block is live but drained after free is a
@@ -1212,6 +1360,11 @@ let () =
           Alcotest.test_case "alloc exhaustion" `Quick test_mem_alloc_exhaustion;
           Alcotest.test_case "poison" `Quick test_mem_poison;
           Alcotest.test_case "line versions" `Quick test_mem_line_version;
+          Alcotest.test_case "untouched defaults" `Quick test_mem_untouched_defaults;
+          Alcotest.test_case "zero page isolation" `Quick test_mem_zero_page_isolation;
+          Alcotest.test_case "page boundary" `Quick test_mem_page_boundary;
+          Alcotest.test_case "partial last page" `Quick test_mem_partial_last_page;
+          Alcotest.test_case "resident bound" `Quick test_mem_resident_bound;
         ] );
       ( "cache",
         [
@@ -1240,6 +1393,7 @@ let () =
           Alcotest.test_case "stall for" `Quick test_machine_stall_for;
           Alcotest.test_case "thread failure" `Quick test_machine_thread_failure;
           Alcotest.test_case "UAF detection" `Quick test_machine_uaf_detection;
+          Alcotest.test_case "wild address" `Quick test_machine_wild_address;
           Alcotest.test_case "UAF on buffered commit" `Quick
             test_machine_uaf_on_buffered_store_commit;
           Alcotest.test_case "interrupts flush buffers" `Quick test_machine_interrupts_flush;

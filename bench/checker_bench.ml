@@ -30,15 +30,6 @@
    "Second oracle" table; --json emits a tbtso-sat-sweep/1 document).
    With --gate the process exits 1 on any oracle disagreement.
 
-   --dpor-sweep compares source-DPOR against the sleep-set-only
-   explorer on IRIW and the flag family over sc/tso/tbtso/tsos points,
-   cross-checking outcome sets at every point (the EXPERIMENTS.md
-   "Source-DPOR" table; --json emits a tbtso-dpor-sweep/1 document).
-   With --gate the process exits 1 on any outcome mismatch or if the
-   IRIW visited-state count under DPOR exceeds 50% of the
-   sleep-set-only count in every mode (2 — inconclusive — when a
-   gated point was budget-cut).
-
    --incr-sweep compares the incremental SAT session (one formula, the
    Δ grid as activation-literal assumptions, learned clauses retained
    across points) against a fresh solver per Δ on the fixed flag
@@ -488,156 +479,6 @@ let run_incr_sweep ~gate ~json_path ~domains =
        from-scratch outcome sets with strictly fewer total conflicts";
     exit 1)
 
-(* --- DPOR reduction sweep (--dpor-sweep) --- *)
-
-let iriw =
-  [
-    [ Store (x, 1) ];
-    [ Store (y, 1) ];
-    [ Load (x, 0); Load (y, 1) ];
-    [ Load (y, 0); Load (x, 1) ];
-  ]
-
-(* The 4-thread IRIW is the gated program: its n! first-visit
-   interleavings are what source-DPOR exists to prune. The flag family
-   rides along ungated — timer-live frames expand fully by design, so
-   TBTSO points show little reduction; the sweep documents that rather
-   than gating on it. *)
-let dpor_programs =
-  [
-    ("IRIW (4-thread)", iriw, true);
-    ("SB", sb, false);
-    ("flag wait=4 (tbtso_flag.litmus)", flag 4, false);
-    ("flag3 wait=4 (3-thread)", flag3 4, false);
-  ]
-
-let dpor_modes = [ M_sc; M_tso; M_tbtso 4; M_tsos 2 ]
-
-let run_dpor_sweep ~gate ~json_path ~domains =
-  pf "Source-DPOR sweep: visited states, DPOR vs sleep-set-only\n";
-  pf
-    "(gate: on IRIW, DPOR must visit ≤ 50%% of the sleep-set-only \
-     count in at least one mode, outcome sets identical everywhere)\n\n";
-  let cases =
-    List.concat_map
-      (fun (name, prog, gated) ->
-        List.map (fun mode -> (name, prog, gated, mode)) dpor_modes)
-      dpor_programs
-  in
-  let results =
-    Pool.with_pool ~domains (fun pool ->
-        Pool.map_list pool
-          (fun (_, prog, _, mode) ->
-            let base, bdt = time (fun () -> explore ~mode prog) in
-            let dpor, ddt =
-              time (fun () -> explore ~mode ~dpor:true prog)
-            in
-            (base, bdt, dpor, ddt))
-          cases)
-  in
-  let rows = List.combine cases results in
-  let disagreed = ref false in
-  let cut = ref false in
-  let sweep_records =
-    List.map
-      (fun (name, _, gated) ->
-        pf "%s%s\n" name (if gated then "  [gated]" else "");
-        let best_ratio = ref infinity in
-        let points =
-          List.map
-            (fun mode ->
-              let _, ((base : Litmus.result), bdt, (dpor : Litmus.result), ddt)
-                  =
-                List.find
-                  (fun ((n, _, _, m), _) -> n = name && m = mode)
-                  rows
-              in
-              let agree = base.outcomes = dpor.outcomes in
-              let complete = base.complete && dpor.complete in
-              if not agree then disagreed := true;
-              if not complete then cut := true;
-              let ratio =
-                float_of_int dpor.stats.visited
-                /. float_of_int base.stats.visited
-              in
-              if complete && ratio < !best_ratio then best_ratio := ratio;
-              pf
-                "  %-9s base %7d states %8.3fs   dpor %7d states %8.3fs  \
-                 (%5.1f%%)  %s\n"
-                (Litmus_parse.mode_id mode)
-                base.stats.visited bdt dpor.stats.visited ddt (100.0 *. ratio)
-                (if not agree then "OUTCOME MISMATCH!"
-                 else if not complete then "(budget cut!)"
-                 else "agree");
-              Json.obj
-                [
-                  ("mode", Json.String (Litmus_parse.mode_id mode));
-                  ("agree", Json.Bool agree);
-                  ("complete", Json.Bool complete);
-                  ("base_states", Json.Int base.stats.visited);
-                  ("dpor_states", Json.Int dpor.stats.visited);
-                  ("ratio", Json.Float ratio);
-                  ("base_wall_seconds", Json.Float bdt);
-                  ("dpor_wall_seconds", Json.Float ddt);
-                  ("dpor_stats", stats_json dpor.stats);
-                ])
-            dpor_modes
-        in
-        let pass = (not gated) || !best_ratio <= 0.5 in
-        (if gated then
-           if Float.is_finite !best_ratio then
-             pf "  best mode ratio: %.1f%%  %s\n\n" (100.0 *. !best_ratio)
-               (if pass then "(gate ok)" else "(GATE EXCEEDED)")
-           else pf "  best mode ratio: INCONCLUSIVE (budget cut)\n\n"
-         else pf "\n");
-        ( pass,
-          Json.obj
-            [
-              ("program", Json.String name);
-              ("gated", Json.Bool gated);
-              ("points", Json.List points);
-              ( "best_ratio",
-                if Float.is_finite !best_ratio then Json.Float !best_ratio
-                else Json.Null );
-              ("gate_pass", Json.Bool pass);
-            ] ))
-      dpor_programs
-  in
-  let all_pass = List.for_all fst sweep_records && not !disagreed in
-  pf "dpor sweep: outcomes %s, reduction gate %s\n"
-    (if !disagreed then "DISAGREE" else "agree")
-    (if all_pass then "ok" else "FAILED");
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      Json.write_file path
-        (Json.obj
-           [
-             ("schema", Json.String "tbtso-dpor-sweep/1");
-             ("domains", Json.Int domains);
-             ("outcomes_agree", Json.Bool (not !disagreed));
-             ("gate_complete", Json.Bool (not !cut));
-             ("gate_pass", Json.Bool all_pass);
-             ("programs", Json.List (List.map snd sweep_records));
-           ]);
-      pf "(wrote %s)\n" path);
-  if gate then
-    if !disagreed then (
-      prerr_endline
-        "dpor-sweep gate failed: DPOR changed an outcome set — the \
-         reduction is unsound";
-      exit 1)
-    else if not (List.for_all fst sweep_records) then
-      if !cut then (
-        prerr_endline
-          "dpor-sweep gate inconclusive: a gated point hit the state budget";
-        exit 2)
-      else (
-        prerr_endline
-          "dpor-sweep gate failed: IRIW reduction did not reach 50% in any \
-           mode";
-        exit 1)
-
 (* --- algorithm-scenario sweep (--scenario-sweep) --- *)
 
 (* Times both oracles over the generated scenario registry, one point
@@ -820,9 +661,6 @@ let () =
     exit 0);
   if List.mem "--incr-sweep" args then (
     run_incr_sweep ~gate:(List.mem "--gate" args) ~json_path ~domains;
-    exit 0);
-  if List.mem "--dpor-sweep" args then (
-    run_dpor_sweep ~gate:(List.mem "--gate" args) ~json_path ~domains;
     exit 0);
   if List.mem "--scenario-sweep" args then (
     run_scenario_sweep ~json_path ~domains;

@@ -103,15 +103,14 @@ let max_states_arg =
 
 let json_arg =
   let doc =
-    "Also write the verdicts as JSON (schema tbtso-litmus/3, or tbtso-sat/2 \
+    "Also write the verdicts as JSON (schema tbtso-litmus/4, or tbtso-sat/3 \
      when $(b,--oracle) sat or both adds SAT-oracle fields): one record per \
      (file, mode) pair with holds/complete/outcomes and the full exploration \
      statistics, plus aggregate checker metrics (total states, peak frontier, \
      zone-canonicalization hits and merges, sleep-set hits split by \
-     independence class, time-leap count, DPOR counters (races detected, \
-     wakeup-tree nodes, source-set hits, frontier steals), states/second, \
-     and the sat.* solver counters when the SAT oracle ran). PATH '-' \
-     writes the JSON to stdout and suppresses the human-readable report."
+     independence class, time-leap count, states/second, and the sat.* \
+     solver counters when the SAT oracle ran). PATH '-' writes the JSON to \
+     stdout and suppresses the human-readable report."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
@@ -189,27 +188,12 @@ let jobs_arg =
   let doc =
     "Fan the files out over $(docv) domains (0 picks one per core, capped \
      at 8); a file's modes run in order on one domain, sharing one SAT \
-     session. With fewer files than domains the pool moves $(i,inside) \
-     each exploration instead: the explorer hands frontier segments of \
-     the check to idle domains, so a single heavyweight file still speeds \
-     up. Verdicts, report and JSON are \
-     identical to a sequential run either way — results are delivered in \
-     submission order — except for wall-clock stats fields and the \
-     $(b,par.*) pool metrics in the JSON totals."
+     session, so a single file gains nothing from more than one domain. \
+     Verdicts, report and JSON are identical to a sequential run — \
+     results are delivered in submission order — except for wall-clock \
+     stats fields and the $(b,par.*) pool metrics in the JSON totals."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let dpor_arg =
-  let doc =
-    "Explore with source-DPOR (persistent/source sets + wakeup trees) \
-     instead of plain sleep-set reduction: races over the \
-     forwarding-refined footprints are reversed via wakeup sequences and \
-     only source-set-demanded transitions are expanded at first visit. \
-     The outcome set and verdict are identical; the visited-state count \
-     (and the races_detected / wut_nodes / source_set_hits stats) \
-     reflect the reduction."
-  in
-  Arg.(value & flag & info [ "dpor" ] ~doc)
 
 let check_exits =
   Cmd.Exit.info 1
@@ -230,7 +214,7 @@ let check_exits =
   :: Cmd.Exit.defaults
 
 let check_cmd =
-  let run modes max_states json jobs oracle robust dpor profile files =
+  let run modes max_states json jobs oracle robust profile files =
     if max_states < 1 then begin
       Printf.eprintf "--max-states must be at least 1\n";
       3
@@ -248,13 +232,12 @@ let check_cmd =
         let domains = if jobs = 0 then Pool.default_domains () else jobs in
         let verdicts =
           if domains <= 1 then
-            Litmus_fanout.check ~max_states ~oracle ~robust ~dpor ~profiler
-              tasks
+            Litmus_fanout.check ~max_states ~oracle ~robust ~profiler tasks
           else
             Pool.with_pool ~domains ~profiler (fun pool ->
                 let vs =
                   Litmus_fanout.check ~pool ~max_states ~oracle ~robust
-                    ~dpor ~profiler tasks
+                    ~profiler tasks
                 in
                 Pool.record_metrics pool registry;
                 vs)
@@ -306,7 +289,7 @@ let check_cmd =
        ~doc:"Exhaustively check litmus files under the chosen memory models")
     Term.(
       const run $ modes_arg $ max_states_arg $ json_arg $ jobs_arg $ oracle_arg
-      $ robust_arg $ dpor_arg $ profile_arg $ files_arg)
+      $ robust_arg $ profile_arg $ files_arg)
 
 let report_advice (r : Adviser.report) =
   Printf.printf "%s (%s):\n" r.Adviser.name r.Adviser.file;
@@ -541,7 +524,7 @@ let scenarios_exits =
   :: Cmd.Exit.defaults
 
 let scenarios_cmd =
-  let run action names dir max_states json jobs oracle dpor profile =
+  let run action names dir max_states json jobs oracle profile =
     let selected =
       match names with
       | [] -> Ok Scenario.registry
@@ -593,7 +576,7 @@ let scenarios_cmd =
               let registry = Tbtso_obs.Metrics.create () in
               let profiler = profiler_of profile in
               let check () =
-                Scenario.check ~max_states ~oracle ~dpor ~profiler scenarios
+                Scenario.check ~max_states ~oracle ~profiler scenarios
               in
               let domains = if jobs = 0 then Pool.default_domains () else jobs in
               let reports =
@@ -601,8 +584,8 @@ let scenarios_cmd =
                 else
                   Pool.with_pool ~domains ~profiler (fun pool ->
                       let rs =
-                        Scenario.check ~pool ~max_states ~oracle ~dpor
-                          ~profiler scenarios
+                        Scenario.check ~pool ~max_states ~oracle ~profiler
+                          scenarios
                       in
                       Pool.record_metrics pool registry;
                       rs)
@@ -663,7 +646,7 @@ let scenarios_cmd =
        ~doc:"List, emit or check the lib/core algorithm scenario registry")
     Term.(
       const run $ scenario_action_arg $ scenario_names_arg $ scenario_dir_arg
-      $ max_states_arg $ json_arg $ jobs_arg $ scenario_oracle_arg $ dpor_arg
+      $ max_states_arg $ json_arg $ jobs_arg $ scenario_oracle_arg
       $ profile_arg)
 
 let demo_cmd =

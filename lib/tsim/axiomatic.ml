@@ -71,18 +71,8 @@ type session = {
   mutable elapsed : float;
 }
 
-let validate programs =
-  List.iter
-    (List.iter (function
-      | Litmus.Wait d when d < 0 ->
-          invalid_arg "Axiomatic.explore: negative wait duration"
-      | Litmus.Loadeq (_, _, skip) when skip < 0 ->
-          invalid_arg "Axiomatic.explore: negative loadeq skip"
-      | _ -> ()))
-    programs
-
 let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
-  validate programs;
+  Litmus.validate ~who:"Axiomatic.session" programs;
   (* The whole formula build is the encode phase; items = clauses
      added. The solver's own propagate / analyze / simplify phases are
      attached through [S.set_profiler] and fill in during queries. *)

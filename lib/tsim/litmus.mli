@@ -57,18 +57,6 @@
       footprints), each with an exact reversed-order-feasibility guard
       on the drained entry's slack; instructions that start a fresh
       timer (TBTSO stores, waits) commute with nothing and are excluded.
-    - {b source-DPOR with wakeup sequences} ([dpor:true]): at
-      {e timer-free} states (no live waits, all buffered slacks
-      ∞-saturated by zone canonicalization — where one aging tick is the
-      identity and independence is exactly footprint disjointness)
-      first-visit branching is reduced to a source set: the first
-      eligible action plus whatever detected races demand. Races are
-      found by a backward vector-clock walk over the DFS stack and
-      recorded as wakeup sequences at the earliest reversible frame,
-      replayed as guided descents. Timer states keep the full expansion,
-      so the reduction is sound wherever timing is observable; skipped
-      re-visits replay an aggregated footprint summary of the previously
-      completed subtree so reversals behind the dedup are not lost.
 
     {!enumerate_reference} retains the original recursive tick-by-tick
     enumerator as a differential-testing oracle. *)
@@ -115,19 +103,6 @@ type stats = {
   dd_skips : int;  (** …of which drain/drain independence. *)
   di_skips : int;  (** …of which drain/instruction independence. *)
   ii_skips : int;  (** …of which instruction/instruction independence. *)
-  races_detected : int;
-      (** Reversible dependent pairs found by the DPOR race walks
-          (path races and summary-replayed races); 0 without [dpor]. *)
-  wut_nodes : int;
-      (** Total length of wakeup sequences accepted into wakeup trees
-          (subsumed insertions add nothing); 0 without [dpor]. *)
-  source_set_hits : int;
-      (** Enabled, un-slept actions a reduced (timer-free) state never
-          had to expand — the branching the source sets saved;
-          0 without [dpor]. *)
-  frontier_steals : int;
-      (** Hand-off seeds executed by worker tasks during a pooled
-          intra-exploration run; 0 on sequential runs. *)
   elapsed : float;  (** CPU seconds spent exploring. *)
 }
 
@@ -142,42 +117,27 @@ type result = {
 val default_max_states : int
 (** 2 million states. *)
 
+val validate : who:string -> instr list list -> unit
+(** @raise Invalid_argument (message prefixed by [who]) on a negative
+    [Wait] duration or [Loadeq] skip. Every oracle calls it first. *)
+
 val explore :
   mode:mode ->
   ?addrs:int ->
   ?regs:int ->
   ?max_states:int ->
   ?profiler:Tbtso_obs.Span.t ->
-  ?dpor:bool ->
-  ?pool:Tbtso_par.Pool.t ->
-  ?task_budget:int ->
   instr list list ->
   result
 (** All reachable outcomes, with exploration statistics. [addrs] and
     [regs] default to 4. Never raises on state-budget exhaustion: a
     partial exploration is reported through [complete = false].
-
-    [dpor] (default false) switches the engine to the source-DPOR DFS
-    (see the module preamble): the outcome set and completeness verdict
-    are identical, only fewer states are visited and the
-    [races_detected] / [wut_nodes] / [source_set_hits] stats become
-    live.
-
-    [pool] (with ≥ 2 domains) parallelizes {e within} this one
-    exploration: a short sequential phase splits the frontier into
-    packed-key seeds, which worker tasks explore independently under
-    doubling per-task budgets, handing unfinished frontiers back as new
-    seeds ([frontier_steals] counts them). Outcomes and [complete] are
-    byte-identical to the sequential run; stats count the work actually
-    done. [task_budget] overrides the initial per-task state budget
-    (testing knob — small values force hand-off rounds).
+    @raise Invalid_argument on a program {!validate} rejects.
 
     [profiler] (default disabled) accumulates the per-phase wall-time
     breakdown into the [explore.expand] / [explore.canon] /
     [explore.intern] / [explore.sleep] phases — [expand] is inclusive
-    of the other three — plus, under [dpor], [explore.race] (race walks
-    and summary replays) and [explore.wut] (wakeup-sequence
-    construction); items count expansions, canonicalizations,
+    of the other three; items count expansions, canonicalizations,
     hash-cons probes and sleep-set computations. Profiling never
     affects the exploration itself: outcome sets and statistics are
     identical whether the profiler is enabled, disabled or absent. *)
@@ -204,7 +164,8 @@ val enumerate_reference :
     as the differential-testing oracle for {!explore}: both must return
     the identical outcome set on every program. Needs stack and state
     space linear in wait durations and Δ, so only suitable for small
-    bounds. @raise Failure as {!enumerate}. *)
+    bounds. @raise Failure as {!enumerate}.
+    @raise Invalid_argument as {!explore}. *)
 
 val exists : outcome list -> (outcome -> bool) -> bool
 
@@ -239,7 +200,6 @@ module For_tests : sig
     ?addrs:int ->
     ?regs:int ->
     ?max_states:int ->
-    ?dpor:bool ->
     ?arena_words:int ->
     ?table_slots:int ->
     ?on_intern:(int array -> int -> unit) ->
@@ -254,36 +214,6 @@ module For_tests : sig
       a fresh copy of the packed key and the dense id it mapped to. The
       (key, id) stream defines the interning partition: two calls carry
       equal keys iff they carry equal ids. *)
-
-  (** The wakeup-sequence store used per DFS frame by the DPOR engine,
-      exposed for white-box insertion/subsumption tests. *)
-  module Wut : sig
-    type t
-
-    val create : unit -> t
-
-    val pending : t -> bool
-
-    val nodes : t -> int
-    (** Total length of the sequences ever accepted. *)
-
-    val insert :
-      t ->
-      initials:int ->
-      scheduled:int ->
-      int array ->
-      [ `Added | `Subsumed ]
-    (** [insert t ~initials ~scheduled v] adds the wakeup sequence [v]
-        (action procs, execution order) unless it is redundant:
-        [initials] is the bitmask of procs whose event can start [v]
-        (its weak initials), and the insert is subsumed when one of
-        them is already in [scheduled] (the frame's explored/planned
-        set — the source-set condition) or when a stored sequence is a
-        prefix of [v]. *)
-
-    val take : t -> int array option
-    (** Pop the oldest pending sequence (FIFO). *)
-  end
 end
 
 val record_stats : Tbtso_obs.Metrics.t -> stats -> unit
@@ -291,9 +221,7 @@ val record_stats : Tbtso_obs.Metrics.t -> stats -> unit
     [litmus.states_visited], [litmus.dedup_hits], [litmus.canon_hits],
     [litmus.zones_merged], [litmus.time_leaps], [litmus.sleep_skips]
     (with the per-independence-class split [litmus.sleep_skips_dd],
-    [litmus.sleep_skips_di], [litmus.sleep_skips_ii]),
-    [litmus.races_detected], [litmus.wut_nodes],
-    [litmus.source_set_hits], [litmus.frontier_steals] and
+    [litmus.sleep_skips_di], [litmus.sleep_skips_ii]) and
     [litmus.explorations] sum across calls;
     gauges [litmus.max_frontier] and [litmus.peak_states_per_sec] keep
     high watermarks; gauge [litmus.elapsed_s] sums exploration CPU

@@ -71,8 +71,7 @@ let group_by_file tasks =
   List.rev_map (fun key -> List.rev !(Hashtbl.find groups key)) !order
 
 let check ?pool ?max_states ?(oracle = Explorer)
-    ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false)
-    ?(dpor = false) tasks =
+    ?(profiler = Tbtso_obs.Span.disabled) ?(robust = false) tasks =
   (* The unit of work is the file: [load] fans each file out into one
      task per mode, and the SAT side of every mode is one query on a
      single per-file [Axiomatic.session] — the encode (and, for
@@ -81,28 +80,10 @@ let check ?pool ?max_states ?(oracle = Explorer)
      learned clauses included, instead of a fresh encode. The session
      is built on first use, so explorer-only runs never encode.
 
-     When there are fewer files than domains, file-level fan-out would
-     leave domains idle, so the pool is instead routed {e inside} each
-     exploration: files run sequentially in the caller and the explorer
-     splits its own frontier across the pool (outcome sets are
-     byte-identical either way — see [Litmus.explore ?pool]). The SAT
-     oracle has no intra-query split, so [Sat] keeps file-level
-     fan-out.
-
      Each task runs inside one span labelled [file:mode] on whichever
      domain the pool hands its file to, so a profiled [-j N] check shows
      the schedule across domain tracks. *)
   let files = group_by_file tasks in
-  let intra =
-    match pool with
-    | Some p
-      when oracle <> Sat
-           && List.compare_length_with files (Tbtso_par.Pool.domains p) < 0
-      ->
-        Some p
-    | _ -> None
-  in
-  let file_pool = if intra = None then pool else None in
   let one sess task =
     Tbtso_obs.Span.with_span profiler
       (Printf.sprintf "%s:%s"
@@ -119,8 +100,8 @@ let check ?pool ?max_states ?(oracle = Explorer)
           task;
           result =
             Some
-              (Litmus_parse.check ?max_states ~profiler ~dpor
-                 ?pool:intra task.test ~mode:task.mode);
+              (Litmus_parse.check ?max_states ~profiler task.test
+                 ~mode:task.mode);
           sat = None;
           disagree = None;
           robustness;
@@ -135,8 +116,8 @@ let check ?pool ?max_states ?(oracle = Explorer)
         }
     | Both ->
         let op =
-          Litmus.explore ~mode:task.mode ?max_states ~profiler ~dpor
-            ?pool:intra task.test.Litmus_parse.program
+          Litmus.explore ~mode:task.mode ?max_states ~profiler
+            task.test.Litmus_parse.program
         in
         let sx = sat () in
         (* A partial exploration is a sound subset for either oracle, so
@@ -173,7 +154,7 @@ let check ?pool ?max_states ?(oracle = Explorer)
         List.map (fun (i, t) -> (i, one sess t)) its
   in
   let scattered =
-    match file_pool with
+    match pool with
     | None -> List.map run_file files
     | Some pool -> Tbtso_par.Pool.map_list pool run_file files
   in
@@ -311,8 +292,8 @@ let record v =
 
 let json_doc ~registry verdicts =
   let schema =
-    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/2"
-    else "tbtso-litmus/3"
+    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/3"
+    else "tbtso-litmus/4"
   in
   Json.obj
     [

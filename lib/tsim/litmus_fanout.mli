@@ -72,7 +72,6 @@ val check :
   ?oracle:oracle ->
   ?profiler:Tbtso_obs.Span.t ->
   ?robust:bool ->
-  ?dpor:bool ->
   task list ->
   verdict list
 (** Run every task under the chosen oracle(s) and return verdicts in
@@ -85,15 +84,8 @@ val check :
     [sat_stats] are that query's own work (see {!Axiomatic.stats}).
     With a [pool] the files fan out across its domains (results still
     land in submission order); without one, or with a pool of one
-    domain, the run is sequential in the caller. When there are
-    {e fewer files than pool domains} (and the oracle needs the
-    explorer), the pool is instead routed inside each exploration —
-    the explorer splits its own frontier across the domains
-    ({!Litmus.explore}[ ?pool]) so a single heavyweight file still
-    benefits from [-j N]; outcome sets and verdicts are byte-identical
-    either way. [dpor] (default off) switches the
-    explorer to source-DPOR reduction — same outcome sets, fewer
-    visited states (see {!Litmus.explore}).
+    domain, the run is sequential in the caller. A file never splits
+    across domains, so [-j N] speeds up only runs of several files.
     [max_states] budgets the explorer only; the SAT oracle uses its own
     {!Axiomatic.default_max_outcomes}. [robust] (default off)
     additionally decides SC-robustness of each task's mode via one
@@ -135,11 +127,11 @@ val record : verdict -> Tbtso_obs.Json.t
 
 val json_doc : registry:Tbtso_obs.Metrics.t -> verdict list -> Tbtso_obs.Json.t
 (** The result document: schema, per-task records in task order, and
-    the registry snapshot as [totals]. Schema is [tbtso-litmus/3] for
-    explorer-only runs (/3 adds the DPOR counters [wut_nodes],
-    [source_set_hits], [races_detected] and [frontier_steals] to each
-    record's [stats] and to [totals]) and [tbtso-sat/2] when any
-    record carries SAT-oracle data ([--oracle sat] or [--oracle both]):
+    the registry snapshot as [totals]. Schema is [tbtso-litmus/4] for
+    explorer-only runs (/4 drops the four counters of a removed
+    second explorer engine from each record's [stats] and from
+    [totals]) and [tbtso-sat/3] (the same drop) when any record
+    carries SAT-oracle data ([--oracle sat] or [--oracle both]):
     the sat schema extends the litmus record with the ["sat"] object
     and ["oracles_agree"] flag, and [totals] with the [sat.*] counters
     of {!Axiomatic.record_stats}. *)

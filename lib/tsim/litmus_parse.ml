@@ -38,15 +38,23 @@ let tokens line =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun s -> s <> "")
 
+(* A negative count would deadlock the explorer or loop a [loadeq]
+   onto itself, and the oracles refuse it. *)
+let count_of lineno what s =
+  let v = int_of lineno s in
+  if v < 0 then fail lineno (Printf.sprintf "negative %s %d" what v);
+  v
+
 let parse_instr lineno toks =
   match toks with
   | [ "store"; a; v ] -> Litmus.Store (addr_of_string lineno a, int_of lineno v)
   | [ "load"; a; "->"; r ] | [ "load"; a; r ] ->
       Litmus.Load (addr_of_string lineno a, reg_of_string lineno r)
   | [ "loadeq"; a; v; "skip"; n ] ->
-      Litmus.Loadeq (addr_of_string lineno a, int_of lineno v, int_of lineno n)
+      Litmus.Loadeq
+        (addr_of_string lineno a, int_of lineno v, count_of lineno "skip" n)
   | [ "fence" ] -> Litmus.Fence
-  | [ "wait"; n ] -> Litmus.Wait (int_of lineno n)
+  | [ "wait"; n ] -> Litmus.Wait (count_of lineno "wait" n)
   | [ "cas"; a; e; d; "->"; r ] ->
       Litmus.Cas (addr_of_string lineno a, int_of lineno e, int_of lineno d, reg_of_string lineno r)
   | _ -> fail lineno (Printf.sprintf "cannot parse instruction %S" (String.concat " " toks))
@@ -92,6 +100,7 @@ let parse text =
   let current = ref None in
   let quantifier = ref None in
   let condition = ref [] in
+  let condition_line = ref 0 in
   let flush_current () =
     match !current with
     | Some instrs -> threads := List.rev instrs :: !threads
@@ -117,6 +126,7 @@ let parse text =
             flush_current ();
             current := None;
             quantifier := Some (if quant = "exists" then Exists else Forall);
+            condition_line := lineno;
             let cond_text = String.sub line 6 (String.length line - 6) in
             condition := List.map (parse_term lineno) (split_on_substring ~sep:"/\\" cond_text)
         | toks -> (
@@ -128,6 +138,15 @@ let parse text =
   flush_current ();
   let program = List.rev !threads in
   if program = [] then fail 0 "no thread blocks";
+  let nthreads = List.length program in
+  List.iter
+    (function
+      | Reg_eq (tid, _, _) when tid < 0 || tid >= nthreads ->
+          fail !condition_line
+            (Printf.sprintf "condition names thread %d, but the file has %d"
+               tid nthreads)
+      | Reg_eq _ | Mem_eq _ -> ())
+    !condition;
   match !quantifier with
   | None -> fail 0 "missing exists/forall condition line"
   | Some quantifier -> { name = !name; program; quantifier; condition = !condition }
@@ -199,11 +218,8 @@ let check_explored t (r : Litmus.result) =
     stats = r.stats;
   }
 
-let check ?(max_states = Litmus.default_max_states) ?profiler ?dpor ?pool
-    ?task_budget t ~mode =
-  check_explored t
-    (Litmus.explore ~mode ~max_states ?profiler ?dpor ?pool ?task_budget
-       t.program)
+let check ?(max_states = Litmus.default_max_states) ?profiler t ~mode =
+  check_explored t (Litmus.explore ~mode ~max_states ?profiler t.program)
 
 let check_result_json r =
   let open Tbtso_obs in

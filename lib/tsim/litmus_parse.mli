@@ -25,7 +25,9 @@
       reachable outcome satisfies it (a witness query); [forall COND]
       asks whether all outcomes do (an invariant). [COND] is a
       conjunction of [T:rN = V] (register of thread T) and [ADDR = V]
-      (final memory) terms joined by [/\].
+      (final memory) terms joined by [/\]; [T] must name one of the
+      file's threads (numbered from 0).
+    - [wait] durations and [loadeq] skips are non-negative.
     - [#] starts a comment; blank lines are ignored. *)
 
 type quantifier = Exists | Forall
@@ -88,19 +90,14 @@ type check_result = {
 val check :
   ?max_states:int ->
   ?profiler:Tbtso_obs.Span.t ->
-  ?dpor:bool ->
-  ?pool:Tbtso_par.Pool.t ->
-  ?task_budget:int ->
   t ->
   mode:Litmus.mode ->
   check_result
 (** [check t ~mode] exhaustively enumerates outcomes under [mode] (up to
     [max_states] distinct states, default
     {!Litmus.default_max_states}) and evaluates the file's condition.
-    Never raises on budget exhaustion — see [complete]. [profiler],
-    [dpor], [pool] and [task_budget] as in {!Litmus.explore}: [dpor]
-    switches on source-DPOR reduction, [pool] splits the frontier of
-    this single exploration across domains. *)
+    Never raises on budget exhaustion — see [complete]. [profiler] as
+    in {!Litmus.explore}. *)
 
 val check_explored : t -> Litmus.result -> check_result
 (** Evaluate the condition over an explorer result the caller already

@@ -511,8 +511,7 @@ let mode_report_of expected (v : Litmus_fanout.verdict) =
   in
   { verdict = v; expected; reachable; pass }
 
-let check ?pool ?max_states ?(oracle = Litmus_fanout.Both) ?dpor ?profiler
-    scenarios =
+let check ?pool ?max_states ?(oracle = Litmus_fanout.Both) ?profiler scenarios =
   let tasks =
     List.concat_map
       (fun s ->
@@ -522,7 +521,7 @@ let check ?pool ?max_states ?(oracle = Litmus_fanout.Both) ?dpor ?profiler
       scenarios
   in
   let verdicts =
-    Litmus_fanout.check ?pool ?max_states ~oracle ?dpor ?profiler tasks
+    Litmus_fanout.check ?pool ?max_states ~oracle ?profiler tasks
   in
   let rec regroup scenarios verdicts acc =
     match scenarios with

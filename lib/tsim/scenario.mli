@@ -213,7 +213,6 @@ val check :
   ?pool:Tbtso_par.Pool.t ->
   ?max_states:int ->
   ?oracle:Litmus_fanout.oracle ->
-  ?dpor:bool ->
   ?profiler:Tbtso_obs.Span.t ->
   t list ->
   report list

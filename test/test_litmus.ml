@@ -468,20 +468,6 @@ let prop_new_equals_reference =
         (fun mode -> enumerate ~mode p = enumerate_reference ~mode p)
         diff_modes)
 
-let prop_dpor_equals_reference =
-  (* The DPOR soundness property: source-DPOR prunes first-visit
-     branching but must keep the exact outcome set of both the
-     sleep-set-only explorer and the naive reference enumerator, under
-     every mode and the full Δ ∈ {1..8} sweep of [diff_modes]. *)
-  QCheck.Test.make
-    ~name:"DPOR ≡ sleep-set-only ≡ reference on random programs" ~count:40
-    program_arb3 (fun p ->
-      List.for_all
-        (fun mode ->
-          let d = (explore ~mode ~dpor:true p).outcomes in
-          d = enumerate ~mode p && d = enumerate_reference ~mode p)
-        diff_modes)
-
 let iriw =
   [
     [ Store (x, 1) ];
@@ -490,51 +476,20 @@ let iriw =
     [ Load (y, r0); Load (x, r1) ];
   ]
 
-let test_dpor_reduces_iriw () =
-  (* The acceptance bar from the issue: on 4-thread IRIW the DPOR
-     engine must visit at most half the states of the sleep-set-only
-     explorer in at least one mode, with an identical outcome set. *)
-  let base = explore ~mode:M_tso iriw in
-  let dpor = explore ~mode:M_tso ~dpor:true iriw in
-  check_bool "outcome sets identical" true (base.outcomes = dpor.outcomes);
-  check_bool
-    (Printf.sprintf "DPOR visited ≤ 50%% of sleep-set-only (%d vs %d)"
-       dpor.stats.visited base.stats.visited)
-    true
-    (2 * dpor.stats.visited <= base.stats.visited);
-  check_bool "races detected" true (dpor.stats.races_detected > 0);
-  check_bool "wakeup nodes recorded" true (dpor.stats.wut_nodes > 0);
-  check_bool "source-set hits recorded" true (dpor.stats.source_set_hits > 0)
-
-let test_wut_insert_subsume () =
-  let module W = For_tests.Wut in
-  let t = W.create () in
-  check_bool "fresh tree has nothing pending" false (W.pending t);
-  check_bool "first insert added" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [| 0; 2 |] = `Added);
-  check_bool "pending after insert" true (W.pending t);
-  check_int "nodes counts sequence length" 2 (W.nodes t);
-  (* Source-set condition: a weak initial already scheduled at the
-     frame means some scheduled branch reverses the race — subsumed. *)
-  check_bool "scheduled initial subsumes" true
-    (W.insert t ~initials:0b010 ~scheduled:0b110 [| 1; 2 |] = `Subsumed);
-  (* A stored sequence that is a prefix of [v] already forces the same
-     reversal. *)
-  check_bool "stored prefix subsumes" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [| 0; 2; 1 |] = `Subsumed);
-  check_bool "empty sequence subsumed" true
-    (W.insert t ~initials:0b001 ~scheduled:0b000 [||] = `Subsumed);
-  check_bool "distinct sequence added" true
-    (W.insert t ~initials:0b100 ~scheduled:0b000 [| 2; 0 |] = `Added);
-  check_int "nodes accumulate" 4 (W.nodes t);
-  (match W.take t with
-  | Some v -> check_bool "FIFO pop returns oldest" true (v = [| 0; 2 |])
-  | None -> Alcotest.fail "expected a pending sequence");
-  (match W.take t with
-  | Some v -> check_bool "second pop in order" true (v = [| 2; 0 |])
-  | None -> Alcotest.fail "expected a second sequence");
-  check_bool "drained" false (W.pending t);
-  check_bool "take on empty" true (W.take t = None)
+let test_iriw_visited_pinned () =
+  (* The sleep-set explorer's reduction on 2-address IRIW, pinned
+     exactly: any change to the independence rules, zone caps or
+     dedup shows up here as a changed count, with the outcome set
+     held to the reference enumerator's. *)
+  List.iter
+    (fun (mode, visited) ->
+      let name = Litmus_parse.mode_id mode in
+      let r = explore ~mode iriw in
+      check_int (name ^ " visited") visited r.stats.visited;
+      check_int (name ^ " outcomes") 15 (List.length r.outcomes);
+      check_bool (name ^ " ≡ reference") true
+        (r.outcomes = enumerate_reference ~mode iriw))
+    [ (M_sc, 97); (M_tso, 164); (M_tbtso 4, 362); (M_tsos 2, 164) ]
 
 let test_diff_boundary_grid () =
   (* Wait-vs-Δ boundary sweep on the flag protocol (with and without the
@@ -703,8 +658,8 @@ let gen_corpus_paths () =
       |> List.map (Filename.concat dir)
 
 let test_gen_corpus_matches_oracles () =
-  (* Explorer ≡ source-DPOR ≡ reference enumerator ≡ SAT oracle on every
-     generated file, across the mode grid. *)
+  (* Explorer ≡ reference enumerator ≡ SAT oracle on every generated
+     file, across the mode grid. *)
   match gen_corpus_paths () with
   | [] -> Alcotest.fail "litmus/gen corpus not found (missing dune deps?)"
   | paths ->
@@ -722,8 +677,6 @@ let test_gen_corpus_matches_oracles () =
               let base = enumerate ~mode test.program in
               check_bool (name "explorer ≡ reference") true
                 (base = enumerate_reference ~mode test.program);
-              check_bool (name "explorer ≡ DPOR") true
-                (base = (explore ~mode ~dpor:true test.program).outcomes);
               let sat = Axiomatic.explore ~mode test.program in
               check_bool (name "SAT complete") true sat.Axiomatic.complete;
               check_bool (name "explorer ≡ SAT") true
@@ -731,9 +684,9 @@ let test_gen_corpus_matches_oracles () =
             [ M_sc; M_tso; M_tsos 2; M_tbtso 1; M_tbtso 4; M_tbtso 8 ])
         paths
 
-let test_gen_corpus_fanout_parallel_dpor () =
-  (* The fanout driver over litmus/gen: sequential ≡ -j 2 and
-     sleep-set-only ≡ --dpor, verdict for verdict. *)
+let test_gen_corpus_fanout_parallel () =
+  (* The fanout driver over litmus/gen: sequential ≡ -j 2, verdict for
+     verdict. *)
   match gen_corpus_paths () with
   | [] -> Alcotest.fail "litmus/gen corpus not found (missing dune deps?)"
   | paths ->
@@ -764,17 +717,7 @@ let test_gen_corpus_fanout_parallel_dpor () =
       check_bool "no oracle disagreement over litmus/gen" true
         (List.for_all
            (fun (v : Litmus_fanout.verdict) -> v.Litmus_fanout.disagree = None)
-           seq);
-      let plain = Litmus_fanout.check tasks in
-      let dpor = Litmus_fanout.check ~dpor:true tasks in
-      let dpor_par =
-        Tbtso_par.Pool.with_pool ~domains:2 (fun pool ->
-            Litmus_fanout.check ~pool ~dpor:true tasks)
-      in
-      check_bool "--dpor ≡ sleep-set-only verdicts" true
-        (signature plain = signature dpor);
-      check_bool "--dpor -j 2 ≡ --dpor sequential" true
-        (signature dpor = signature dpor_par)
+           seq)
 
 let test_sat_stats_exposed () =
   let r = Axiomatic.explore ~mode:(M_tbtso 4) sb in
@@ -916,34 +859,36 @@ let test_query_stats_sum_to_session () =
       check_int "formula size is a session snapshot" total.vars r.stats.vars)
     [ List.nth rs (List.length rs - 1) ]
 
-let test_known_dpor_miss_is_caught () =
-  (* Source-DPOR misses a reachable outcome on these windows (see
-     "Known DPOR miss" in bench/perf/README.md); the cross-check of
-     [--oracle both] must report each as an oracle disagreement. Once
-     DPOR is fixed, this test flips to expecting agreement. *)
+let test_reduction_regression_windows () =
+  (* Two windows on which a partial-order reduction once missed a
+     reachable outcome (the two-thread one with a fence under TSO, the
+     three-thread one under SC). Every oracle must report the full
+     outcome set, and [--oracle both] must agree. *)
   List.iter
-    (fun (name, text, mode) ->
-      let tasks =
-        [ { Litmus_fanout.path = name; test = Litmus_parse.parse text; mode } ]
+    (fun (name, text, mode, count) ->
+      let test = Litmus_parse.parse text in
+      let ex = explore ~mode test.program in
+      check_int (name ^ ": outcomes") count (List.length ex.outcomes);
+      check_bool (name ^ ": explorer ≡ reference") true
+        (ex.outcomes = enumerate_reference ~mode test.program);
+      check_bool (name ^ ": explorer ≡ SAT") true
+        (ex.outcomes = (Axiomatic.explore ~mode test.program).Axiomatic.outcomes);
+      let vs =
+        Litmus_fanout.check ~oracle:Litmus_fanout.Both
+          [ { Litmus_fanout.path = name; test; mode } ]
       in
-      let vs = Litmus_fanout.check ~oracle:Litmus_fanout.Both ~dpor:true tasks in
-      check_bool (name ^ ": disagreement reported") true
-        (List.map Litmus_fanout.severity vs = [ `Disagree ]);
-      check_int (name ^ ": exits 3") 3 (Litmus_fanout.exit_code vs);
-      (* The miss is DPOR's: the sleep-set explorer agrees with SAT. *)
-      check_bool (name ^ ": sleep-set explorer agrees") true
-        (List.for_all
-           (fun (v : Litmus_fanout.verdict) -> v.disagree = None)
-           (Litmus_fanout.check ~oracle:Litmus_fanout.Both tasks)))
+      check_int (name ^ ": --oracle both exits 0") 0 (Litmus_fanout.exit_code vs))
     [
       ( "three threads, sc",
         "thread\n load y -> r1\n store x 2\nthread\n store x 1\nthread\n\
         \ store x 1\n load x -> r3\n store y 1\nexists 0:r1 = 1\n",
-        M_sc );
+        M_sc,
+        6 );
       ( "two threads, tso",
         "thread\n store z 1\n load y -> r1\n store x 2\n load x -> r1\n\
          thread\n store x 1\n fence\n store w 1\nexists 0:r1 = 0\n",
-        M_tso );
+        M_tso,
+        3 );
     ]
 
 let test_adviser_verdicts () =
@@ -1018,7 +963,7 @@ let test_zone_stats_exposed () =
         [ "canon_hits"; "zones_merged"; "dd_skips"; "di_skips"; "ii_skips" ]
   | _ -> Alcotest.fail "stats_json not an object"
 
-let test_explore_partial_result () =
+let test_explore_budget_partial () =
   let r = explore ~mode:M_tso ~max_states:10 sb in
   check_bool "partial flagged" false r.complete;
   check_bool "budget respected" true (r.stats.visited <= 10);
@@ -1109,7 +1054,31 @@ let test_parse_errors () =
     (check_parse_error "thread\n load x -> r9\nexists x = 1\n");
   check_bool "orphan instruction" true (check_parse_error "store x 1\nexists x = 1\n");
   check_bool "duplicate condition" true
-    (check_parse_error "thread\n store x 1\nexists x = 1\nexists x = 1\n")
+    (check_parse_error "thread\n store x 1\nexists x = 1\nexists x = 1\n");
+  (* Programs the oracles would reject (or the explorer would loop on)
+     and conditions on threads the file lacks are parse errors. *)
+  check_bool "negative wait" true (check_parse_error "thread\n wait -3\nexists x = 0\n");
+  check_bool "negative skip" true
+    (check_parse_error "thread\n loadeq x 0 skip -1\nexists x = 0\n");
+  check_bool "condition on a missing thread" true
+    (check_parse_error "thread\n load x -> r0\nexists 5:r0 = 0\n");
+  check_bool "condition on a negative thread" true
+    (check_parse_error "thread\n load x -> r0\nexists -1:r0 = 0\n");
+  (* The oracles' own guard, for programs built without the parser. *)
+  List.iter
+    (fun (name, oracle) ->
+      List.iter
+        (fun bad ->
+          check_bool (name ^ " rejects a negative count") true
+            (try
+               oracle bad;
+               false
+             with Invalid_argument _ -> true))
+        [ [ [ Wait (-3) ] ]; [ [ Loadeq (x, 0, -1) ] ] ])
+    [
+      ("explore", fun p -> ignore (explore ~mode:M_tso p));
+      ("enumerate_reference", fun p -> ignore (enumerate_reference ~mode:M_tso p));
+    ]
 
 let test_mode_of_string () =
   let ok s =
@@ -1231,10 +1200,10 @@ let test_default_buffers_grow_on_iriw () =
      growth must be invisible against a run started at the capacities
      the explorer used to preallocate (65,536 words, 4,096 slots). *)
   List.iter
-    (fun (name, mode, dpor) ->
-      let small, dbg_small = For_tests.explore_instrumented ~mode ~dpor iriw in
+    (fun (name, mode) ->
+      let small, dbg_small = For_tests.explore_instrumented ~mode iriw in
       let big, dbg_big =
-        For_tests.explore_instrumented ~mode ~dpor ~arena_words:65_536
+        For_tests.explore_instrumented ~mode ~arena_words:65_536
           ~table_slots:4_096 iriw
       in
       check_bool (name ^ ": arena grew") true (dbg_small.For_tests.arena_growths >= 1);
@@ -1247,11 +1216,7 @@ let test_default_buffers_grow_on_iriw () =
       check_bool (name ^ ": same outcomes") true
         (small.outcomes = big.outcomes && small.complete = big.complete);
       check_bool (name ^ ": same stats") true (same_stats small.stats big.stats))
-    [
-      ("IRIW tso", M_tso, false);
-      ("IRIW tbtso:4", M_tbtso 4, false);
-      ("IRIW tbtso:4 dpor", M_tbtso 4, true);
-    ]
+    [ ("IRIW tso", M_tso); ("IRIW tbtso:4", M_tbtso 4) ]
 
 (* The qcheck suites draw from a fixed seed, so that a run of the tier-1
    suite is repeatable; set QCHECK_SEED to explore other draws. *)
@@ -1313,18 +1278,13 @@ let () =
             test_corpus_matches_reference;
           Alcotest.test_case "flag states flat in Δ" `Quick test_flag_flat_in_delta;
           Alcotest.test_case "zone stats exposed" `Quick test_zone_stats_exposed;
-          Alcotest.test_case "partial result on budget" `Quick test_explore_partial_result;
+          Alcotest.test_case "partial result on budget" `Quick test_explore_budget_partial;
           Alcotest.test_case "arena growth is invisible" `Quick
             test_arena_growth_stress;
           Alcotest.test_case "default buffers grow on IRIW" `Quick
             test_default_buffers_grow_on_iriw;
-        ] );
-      ( "dpor",
-        [
-          Alcotest.test_case "IRIW reduction ≤ 50% with same outcomes" `Quick
-            test_dpor_reduces_iriw;
-          Alcotest.test_case "wakeup-tree insert/subsume/take" `Quick
-            test_wut_insert_subsume;
+          Alcotest.test_case "IRIW visited states pinned" `Quick
+            test_iriw_visited_pinned;
         ] );
       ( "parser",
         [
@@ -1342,8 +1302,8 @@ let () =
         [
           Alcotest.test_case "litmus/gen ≡ all oracles, every mode" `Quick
             test_gen_corpus_matches_oracles;
-          Alcotest.test_case "litmus/gen fanout: -j 2 and --dpor" `Quick
-            test_gen_corpus_fanout_parallel_dpor;
+          Alcotest.test_case "litmus/gen fanout: pooled ≡ seq" `Quick
+            test_gen_corpus_fanout_parallel;
         ] );
       ( "sat-oracle",
         [
@@ -1360,13 +1320,12 @@ let () =
             test_shared_session_matches_fresh;
           Alcotest.test_case "per-query stats sum to the session" `Quick
             test_query_stats_sum_to_session;
-          Alcotest.test_case "known DPOR miss is a disagreement" `Quick
-            test_known_dpor_miss_is_caught;
+          Alcotest.test_case "reduction regression windows" `Quick
+            test_reduction_regression_windows;
         ] );
       qsuite "differential"
         [
           prop_new_equals_reference;
-          prop_dpor_equals_reference;
           prop_pooled_differential;
           prop_sat_equals_explorer;
           prop_pooled_sat_differential;

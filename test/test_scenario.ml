@@ -216,34 +216,6 @@ let test_check_explorer_only_and_pooled () =
       check_bool "explorer-only ok" true (Scenario.severity r = `Ok))
     seq
 
-(* --- DPOR frontier hand-off on a generated scenario ----------------- *)
-
-(* Hand-off seeds carry only the sleep/class masks — no wakeup-tree
-   state (see the comment at the abort path in litmus.ml).  Pin that
-   design on an algorithm scenario: a tiny per-task budget forces
-   frontier segments to be handed between domains mid-exploration, and
-   the outcome set must stay byte-identical to the sequential DPOR run. *)
-let test_ffhp_forced_steal_dpor () =
-  let s =
-    match Scenario.find "ffhp_retire_scan" with
-    | Some s -> s
-    | None -> Alcotest.fail "ffhp_retire_scan missing from registry"
-  in
-  let prog = Scenario.program s in
-  Tbtso_par.Pool.with_pool ~domains:2 (fun pool ->
-      List.iter
-        (fun (mn, mode) ->
-          let seq = Litmus.explore ~mode ~dpor:true prog in
-          let par =
-            Litmus.explore ~mode ~dpor:true ~pool ~task_budget:64 prog
-          in
-          check_bool (mn ^ " outcomes byte-identical") true
-            (par.Litmus.outcomes = seq.Litmus.outcomes);
-          check_bool (mn ^ " complete") true par.Litmus.complete;
-          check_bool (mn ^ " steals exercised") true
-            (par.Litmus.stats.Litmus.frontier_steals > 0))
-        [ ("tso", Litmus.M_tso); ("tbtso16", Litmus.M_tbtso 16) ])
-
 (* --- freshness of the committed litmus/gen corpus ------------------- *)
 
 let gen_dir () =
@@ -397,8 +369,6 @@ let () =
             test_refutes_misspecified_predicate;
           Alcotest.test_case "explorer-only ≡ pooled" `Quick
             test_check_explorer_only_and_pooled;
-          Alcotest.test_case "FFHP forced steals, DPOR hand-off" `Quick
-            test_ffhp_forced_steal_dpor;
           Alcotest.test_case "litmus/gen corpus is fresh" `Quick
             test_gen_corpus_fresh;
         ] );

@@ -635,7 +635,7 @@ let scenarios_cmd =
          failure; $(b,emit) regenerates litmus/gen/ so the ordinary corpus \
          machinery (check, advise, CI) picks the same programs up.";
       `P
-        "With $(b,--json), results are written as a tbtso-scenario/1 \
+        "With $(b,--json), results are written as a tbtso-scenario/2 \
          document: per scenario and mode the expectation, the oracles' \
          combined reachability answer, pass/fail, and the full per-task \
          check record (explorer stats, SAT stats, oracle agreement).";

@@ -39,12 +39,7 @@ let nonowner_lock t =
   Spinlock.Tas.lock t.l;
   Sim.store t.flag1 1;
   Sim.fence ();
-  Sim.spin_while (fun () ->
-      if Sim.load t.flag0 = 0 then false
-      else begin
-        Sim.work 10;
-        true
-      end)
+  ignore (Sim.await t.flag0 ~until:(fun f0 -> f0 = 0) ~backoff:10)
 
 let nonowner_unlock t =
   Sim.store t.flag1 0;

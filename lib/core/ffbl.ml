@@ -87,12 +87,7 @@ let nonowner_lock t =
   in
   await_bound ();
   (* await flag0.f = 0. *)
-  Sim.spin_while (fun () ->
-      if raised (Sim.load t.flag0) = 0 then false
-      else begin
-        Sim.work 10;
-        true
-      end)
+  ignore (Sim.await t.flag0 ~until:(fun f0 -> raised f0 = 0) ~backoff:10)
 
 let nonowner_unlock t =
   let v = version (Sim.load t.flag1) + 1 in

@@ -88,12 +88,7 @@ let write_lock t =
   in
   await ();
   for r = 0 to t.nreaders - 1 do
-    Sim.spin_while (fun () ->
-        if Sim.load (flag t r) = 0 then false
-        else begin
-          Sim.work 10;
-          true
-        end)
+    ignore (Sim.await (flag t r) ~until:(fun f -> f = 0) ~backoff:10)
   done
 
 let write_unlock t =

@@ -18,12 +18,7 @@ let rec read_lock t =
   if Sim.load t.writer <> 0 then begin
     (* Writer active or arriving: back out and wait. *)
     ignore (Sim.faa t.readers (-1));
-    Sim.spin_while (fun () ->
-        if Sim.load t.writer = 0 then false
-        else begin
-          Sim.work 10;
-          true
-        end);
+    ignore (Sim.await t.writer ~until:(fun w -> w = 0) ~backoff:10);
     read_lock t
   end
 
@@ -33,12 +28,7 @@ let write_lock t =
   Spinlock.Tas.lock t.l;
   Sim.store t.writer 1;
   Sim.fence ();
-  Sim.spin_while (fun () ->
-      if Sim.load t.readers = 0 then false
-      else begin
-        Sim.work 10;
-        true
-      end)
+  ignore (Sim.await t.readers ~until:(fun n -> n = 0) ~backoff:10)
 
 let write_unlock t =
   Sim.store t.writer 0;

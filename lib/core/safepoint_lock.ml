@@ -95,12 +95,7 @@ let nonowner_lock t =
   Sim.fence ();
   (* Block until the owner acknowledges from a safe point: unbounded if
      the owner is stalled — the cost FFBL's Δ bound removes. *)
-  Sim.spin_while (fun () ->
-      if Sim.load t.grant = token then false
-      else begin
-        Sim.work 10;
-        true
-      end)
+  ignore (Sim.await t.grant ~until:(fun g -> g = token) ~backoff:10)
 
 let nonowner_unlock t =
   Sim.store t.req 0;

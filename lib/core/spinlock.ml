@@ -10,13 +10,7 @@ module Ticket = struct
 
   let lock t =
     let my = Sim.faa t.next 1 in
-    let rec spin () =
-      if Sim.load t.serving <> my then begin
-        Sim.work 10;
-        spin ()
-      end
-    in
-    spin ();
+    ignore (Sim.await t.serving ~until:(fun v -> v = my) ~backoff:10);
     t.acquisitions <- t.acquisitions + 1
 
   let unlock t =
@@ -38,12 +32,7 @@ module Tas = struct
     let rec spin backoff =
       if not (trylock t) then begin
         (* Test-and-test-and-set with bounded backoff. *)
-        Sim.spin_while (fun () ->
-            if Sim.load t.word = 0 then false
-            else begin
-              Sim.work backoff;
-              true
-            end);
+        ignore (Sim.await t.word ~until:(fun v -> v = 0) ~backoff);
         spin (min (backoff * 2) 200)
       end
     in

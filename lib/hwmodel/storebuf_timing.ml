@@ -70,21 +70,21 @@ let measure_on_machine ?config ~rounds ~extra_reader_distance () =
            Sim.store v (Sim.clock ());
            (* Non-store work stream: the store drains on the machine's
               schedule, not because of a fence. *)
-           Sim.spin_while (fun () -> Sim.load ack < (2 * round) - 1);
+           ignore (Sim.await ack ~until:(fun a -> a >= (2 * round) - 1) ~backoff:0);
            Sim.store v 0;
-           Sim.spin_while (fun () -> Sim.load ack < 2 * round)
+           ignore (Sim.await ack ~until:(fun a -> a >= 2 * round) ~backoff:0)
          done));
   ignore
     (Machine.spawn machine (fun () ->
          for _round = 1 to rounds do
            Sim.work extra_reader_distance;
-           Sim.spin_while (fun () -> Sim.load v = 0);
+           ignore (Sim.await v ~until:(fun x -> x <> 0) ~backoff:0);
            let stamped = Sim.load v in
            let delay = Sim.clock () - stamped in
            samples := float_of_int (delay * 10) :: !samples;
            (* 10 ns per tick *)
            ignore (Sim.faa ack 1);
-           Sim.spin_while (fun () -> Sim.load v <> 0);
+           ignore (Sim.await v ~until:(fun x -> x = 0) ~backoff:0);
            ignore (Sim.faa ack 1)
          done));
   ignore (Machine.run ~max_ticks:(rounds * 100_000) machine);

@@ -27,6 +27,8 @@ let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.versions 0 (Array.length t.versions) (-1)
 
+let add_hits t k = t.hits <- t.hits + k
+
 let hits t = t.hits
 
 let misses t = t.misses

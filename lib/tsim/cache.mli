@@ -16,6 +16,11 @@ val access : t -> line:int -> version:int -> bool
 
 val invalidate_all : t -> unit
 
+val add_hits : t -> int -> unit
+(** [add_hits t k] counts [k] further hits on a line {!access} just
+    found current, without probing again: the machine's account of
+    spin-wait loads it takes at once. *)
+
 val hits : t -> int
 
 val misses : t -> int

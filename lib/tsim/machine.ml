@@ -4,6 +4,16 @@ exception Thread_failure of { tid : int; exn : exn }
 
 exception Deadlock of string
 
+(* A Sim.await in progress: its loop's next step. *)
+type await_step = A_load | A_work | A_complete
+
+type await = {
+  aw_addr : int;
+  until : int -> bool;
+  backoff : int;
+  mutable step : await_step;
+}
+
 type op =
   | O_load of int
   | O_store of int * int
@@ -18,6 +28,7 @@ type op =
       (* second phase of work/stall: resumes the thread at ready_at, so
          host code following Sim.work runs when the work has elapsed,
          not when it starts *)
+  | O_await of await
 
 type thread_stats = {
   loads : int;
@@ -107,6 +118,9 @@ type t = {
   mutable first_failure : (int * exn) option;
   mutable quiesce_until : int;  (* Tbtso_hw: system frozen until this tick *)
   mutable quiescence_events : int;
+  mutable skip_deadline : int;
+      (* Awaits may skip iterations that load before this tick: the
+         current run's deadline, or [min_int] under a [stop_when]. *)
 }
 
 and event =
@@ -133,6 +147,7 @@ let create cfg =
     first_failure = None;
     quiesce_until = 0;
     quiescence_events = 0;
+    skip_deadline = min_int;
   }
 
 let config t = t.cfg
@@ -315,6 +330,11 @@ let start_thread t (th : thread) (body : unit -> unit) =
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_stall_until target);
                   th.stash <- Stash (k, as_unit))
+          | Sim.E_await (aw_addr, until, backoff) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  th.pending <- Some (O_await { aw_addr; until; backoff; step = A_load });
+                  th.stash <- Stash (k, as_int))
           (* Meta-operations: answered immediately, no machine action. *)
           | Sim.E_tid -> Some (fun (k : (a, unit) continuation) -> continue k th.tid)
           | Sim.E_stopping ->
@@ -420,13 +440,24 @@ let drain_delay t th =
   | Config.Drain_geometric { p; cap } -> Rng.geometric th.drain_rng ~p ~cap
   | Config.Drain_adversarial -> max_int / 2
 
+let raise_if_failed th =
+  match th.failure with
+  | Some exn -> raise (Thread_failure { tid = th.tid; exn })
+  | None -> ()
+
 let resume_thread th v =
   (match th.stash with
   | Stash (k, conv) -> Effect.Deep.continue k (conv v)
   | Unstarted -> ());
-  match th.failure with
-  | Some exn -> raise (Thread_failure { tid = th.tid; exn })
-  | None -> ()
+  raise_if_failed th
+
+(* Raise [e] in the thread at its pending instruction, as if that
+   instruction had raised it. *)
+let fail_thread th e =
+  (match th.stash with
+  | Stash (k, _) -> Effect.Deep.discontinue k e
+  | Unstarted -> ());
+  raise_if_failed th
 
 (* Read as the thread would: forwarding from the store buffer first. *)
 let tso_read t th addr ~charge =
@@ -456,6 +487,57 @@ let rmw_write t th addr v =
   ignore
     (Cache.access th.cache ~line:(Memory.line_of addr)
        ~version:(Memory.line_version t.mem addr))
+
+let next_interrupt t th period =
+  let r = (t.clock - th.interrupt_phase) mod period in
+  let r = if r < 0 then r + period else r in
+  t.clock + (period - r)
+
+(* Called after [th]'s await load at [t.clock] failed. When no other
+   thread, store buffer, interrupt or clock predicate can act before
+   [limit], every later iteration that loads before [limit] reads the
+   same word of the same unchanged line: the same value, a cache hit, no
+   new reader record. Take those [k] iterations at once and leave [th]
+   as the k-th of them would: its load done, its work step next. The
+   conditions are those under which a quiet tick changes nothing: no
+   schedule noise (which draws from the RNG), no event hook (which sees
+   every load), no Tbtso_hw quiescence, and a non-zero load cost (so that
+   each step lands on the tick [ready_at] names). *)
+let skip_idle t th w =
+  let costs = t.cfg.Config.costs in
+  if
+    t.skip_deadline > t.clock
+    && costs.load > 0
+    && t.cfg.Config.jitter = 0.0
+    && (not (tracing t))
+    && match t.cfg.Config.consistency with
+       | Config.Tbtso_hw _ -> false
+       | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ -> true
+  then begin
+    let limit = ref t.skip_deadline in
+    for i = 0 to t.nthreads - 1 do
+      let o = t.threads.(i) in
+      if not (Store_buffer.is_empty o.buf) then limit := min_int
+      else if not o.finished then begin
+        if o != th then limit := min !limit (max o.ready_at t.clock);
+        match t.cfg.Config.interrupt_period with
+        | Some p -> limit := min !limit (next_interrupt t o p)
+        | None -> ()
+      end
+    done;
+    (* Loads land at [first], [first + period], ... *)
+    let first, period =
+      if w.backoff > 0 then (th.ready_at + w.backoff + 1, costs.load + w.backoff + 1)
+      else (th.ready_at, costs.load)
+    in
+    (* A lone awaiter with no deadline spins forever either way. *)
+    if !limit < max_int && first < !limit then begin
+      let k = ((!limit - 1 - first) / period) + 1 in
+      th.ready_at <- first + ((k - 1) * period) + costs.load;
+      th.st.loads <- th.st.loads + k;
+      Cache.add_hits th.cache k
+    end
+  end
 
 (* Try to execute [th]'s pending instruction; returns true if the thread
    made progress this tick (including progress by draining towards a
@@ -551,7 +633,7 @@ let exec t th =
                     emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
                   cur
               | O_load _ | O_store _ | O_fence | O_clock | O_work _ | O_stall_until _
-              | O_complete ->
+              | O_complete | O_await _ ->
                   assert false
             in
             th.ready_at <- t.clock + costs.cas;
@@ -578,7 +660,31 @@ let exec t th =
       | O_complete ->
           th.pending <- None;
           resume_thread th 0;
-          true)
+          true
+      | O_await w -> (
+          match w.step with
+          | A_load ->
+              let v = tso_read t th w.aw_addr ~charge:true in
+              th.st.loads <- th.st.loads + 1;
+              if tracing t then emit t th (Ev_load { addr = w.aw_addr; value = v });
+              (match w.until v with
+              | true ->
+                  th.pending <- None;
+                  resume_thread th v
+              | false ->
+                  if w.backoff > 0 then w.step <- A_work;
+                  skip_idle t th w
+              | exception e ->
+                  th.pending <- None;
+                  fail_thread th e);
+              true
+          | A_work ->
+              th.ready_at <- t.clock + w.backoff;
+              w.step <- A_complete;
+              true
+          | A_complete ->
+              w.step <- A_load;
+              true))
 
 let interrupt t th =
   (* A kernel entry drains the store buffer (Section 6.2). *)
@@ -612,10 +718,7 @@ let next_event_time t =
      end);
     if (not th.finished) || not (Store_buffer.is_empty th.buf) then begin
       match t.cfg.Config.interrupt_period with
-      | Some p ->
-          let r = (t.clock - th.interrupt_phase) mod p in
-          let r = if r < 0 then r + p else r in
-          note (t.clock + (p - r))
+      | Some p -> note (next_interrupt t th p)
       | None -> ()
     end
   done;
@@ -641,7 +744,8 @@ let describe_stuck t =
            | Some O_clock -> "clock"
            | Some (O_work _) -> "work"
            | Some (O_stall_until _) -> "stall"
-           | Some O_complete -> "complete"))
+           | Some O_complete -> "complete"
+           | Some (O_await _) -> "await"))
   done;
   Buffer.contents b
 
@@ -783,6 +887,7 @@ let run ?(max_ticks = max_int) ?stop_when t =
   let deadline =
     if max_ticks >= max_int - t.clock then max_int else t.clock + max_ticks
   in
+  t.skip_deadline <- (match stop_when with Some _ -> min_int | None -> deadline);
   let stopped () = match stop_when with Some f -> f t | None -> false in
   let rec loop () =
     if t.unfinished = 0 then begin

@@ -103,9 +103,20 @@ val thread_count : t -> int
 
 val run : ?max_ticks:int -> ?stop_when:(t -> bool) -> t -> stop_reason
 (** Drive the machine until every thread finishes, [max_ticks] elapse, or
-    [stop_when] holds (checked once per tick). On [Max_ticks] the clock
-    is exactly the deadline: quiet-period fast-forwarding never jumps
-    past it.
+    [stop_when] holds. On [Max_ticks] the clock is exactly the deadline:
+    quiet-period fast-forwarding never jumps past it.
+
+    [stop_when] is checked after every stepped tick and where a
+    fast-forward lands, not at every tick of the clock: a clock
+    predicate such as [now m >= n] can fire past tick [n]. Use
+    [max_ticks] for an exact stop.
+
+    A {!Sim.await} whose load fails may take its later iterations at
+    once when nothing else can act before they are done (no other
+    thread due, no buffered store, no interrupt) and the run has no
+    [stop_when], no event hook is set, [jitter] is 0 and the mode is not
+    [Tbtso_hw]. Results, clock and statistics are those of stepping
+    each iteration; only [until]'s call count differs.
     @raise Thread_failure if a thread body raises.
     @raise Memory.Use_after_free on a detected access to freed memory.
     @raise Deadlock if no progress is possible. *)

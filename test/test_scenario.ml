@@ -216,6 +216,25 @@ let test_check_explorer_only_and_pooled () =
       check_bool "explorer-only ok" true (Scenario.severity r = `Ok))
     seq
 
+(* The --json document names its schema; version 2 dropped the four
+   source-DPOR counters from the embedded check records. *)
+let test_json_schema () =
+  let subset = List.filter (fun s -> s.Scenario.name = "flag_principle") Scenario.registry in
+  let reports = Scenario.check ~oracle:Litmus_fanout.Explorer subset in
+  let doc = Scenario.json_doc ~registry:(Tbtso_obs.Metrics.create ()) reports in
+  check_bool "schema tbtso-scenario/2" true
+    (Tbtso_obs.Json.member "schema" doc = Some (Tbtso_obs.Json.String "tbtso-scenario/2"));
+  let text = Tbtso_obs.Json.to_string doc in
+  List.iter
+    (fun field ->
+      let needle = Printf.sprintf "\"%s\"" field in
+      let n = String.length needle in
+      let rec absent i =
+        i + n > String.length text || (String.sub text i n <> needle && absent (i + 1))
+      in
+      check_bool (field ^ " absent") true (absent 0))
+    [ "races_detected"; "wut_nodes"; "source_set_hits"; "frontier_steals" ]
+
 (* --- freshness of the committed litmus/gen corpus ------------------- *)
 
 let gen_dir () =
@@ -371,6 +390,7 @@ let () =
             test_check_explorer_only_and_pooled;
           Alcotest.test_case "litmus/gen corpus is fresh" `Quick
             test_gen_corpus_fresh;
+          Alcotest.test_case "json schema" `Quick test_json_schema;
         ] );
       qsuite "generator"
         [ prop_random_scenarios_well_formed; prop_random_scenarios_oracles_agree ];

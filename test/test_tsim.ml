@@ -274,7 +274,10 @@ let test_cache_hit_miss () =
   check_bool "version invalidates" false (Cache.access c ~line:5 ~version:1);
   check_bool "hit after refill" true (Cache.access c ~line:5 ~version:1);
   check_int "misses" 2 (Cache.misses c);
-  check_int "hits" 2 (Cache.hits c)
+  check_int "hits" 2 (Cache.hits c);
+  Cache.add_hits c 3;
+  check_int "added hits" 5 (Cache.hits c);
+  check_int "misses unchanged" 2 (Cache.misses c)
 
 let test_cache_conflict () =
   let c = Cache.create ~bits:2 in
@@ -1332,6 +1335,273 @@ let test_trace_export_parses () =
       check_int "one line per event" (Trace.length tr) (List.length lines);
       List.iter (fun l -> ignore (Json.of_string l)) lines)
 
+(* ------------------------------------------------------------------ *)
+(* Sim.await: one machine instruction for a load/test/backoff loop     *)
+(* ------------------------------------------------------------------ *)
+
+(* The loop Sim.await is defined to be. *)
+let loop_await a ~until ~backoff =
+  let rec go () =
+    let v = Sim.load a in
+    if until v then v
+    else begin
+      Sim.work backoff;
+      go ()
+    end
+  in
+  go ()
+
+type spin = int -> until:(int -> bool) -> backoff:int -> int
+
+(* Interrupts cost 5 ticks so that a 97-tick period leaves time to run. *)
+let await_cfg consistency ~interrupts ~jitter =
+  {
+    Config.default with
+    consistency;
+    costs = { Config.default_costs with interrupt = 5 };
+    interrupt_period = (if interrupts then Some 97 else None);
+    jitter;
+    seed = 7L;
+  }
+
+(* Thread bodies over globals [g .. g + 31]: thread 0 awaits [x = g];
+   [y] shares its line; [ack] and [z] live on lines of their own. *)
+type pattern = Late_write | Same_line_first | Own_buffered_store | Sleeper_wakes
+
+let patterns = [ Late_write; Same_line_first; Own_buffered_store; Sleeper_wakes ]
+
+let pattern_name = function
+  | Late_write -> "late write"
+  | Same_line_first -> "same line first"
+  | Own_buffered_store -> "own buffered store"
+  | Sleeper_wakes -> "sleeper wakes"
+
+let await_threads (spin : spin) ~backoff pattern g =
+  let x = g and y = g + 1 and ack = g + 8 and z = g + 16 in
+  let awaiter () =
+    if pattern = Own_buffered_store then Sim.store x 3;
+    let v = spin x ~until:(fun v -> v = 1) ~backoff in
+    Sim.store ack v;
+    Sim.work 20
+  in
+  let writer () =
+    if pattern = Same_line_first then begin
+      Sim.stall_for 1000;
+      Sim.store y 9;
+      Sim.stall_for 1000
+    end
+    else Sim.stall_for 2000;
+    Sim.store x 1;
+    ignore (spin ack ~until:(fun v -> v <> 0) ~backoff);
+    Sim.store x 2
+  in
+  let sleeper () =
+    Sim.stall_for 700;
+    Sim.store z 1;
+    Sim.work 30;
+    Sim.stall_for 600;
+    Sim.store z (Sim.load z + 1)
+  in
+  if pattern = Sleeper_wakes then [ awaiter; writer; sleeper ] else [ awaiter; writer ]
+
+type run_style = Clock_stop | Max_ticks | To_completion
+
+let run_style_name = function
+  | Clock_stop -> "stop_when"
+  | Max_ticks -> "max_ticks"
+  | To_completion -> "completion"
+
+let event_string (tid, now, (ev : Machine.event)) =
+  let what =
+    match ev with
+    | Machine.Ev_load { addr; value } -> Printf.sprintf "load %d=%d" addr value
+    | Machine.Ev_store { addr; value } -> Printf.sprintf "store %d=%d" addr value
+    | Machine.Ev_rmw { addr; old_value; new_value } ->
+        Printf.sprintf "rmw %d %d->%d" addr old_value new_value
+    | Machine.Ev_fence -> "fence"
+    | Machine.Ev_clock c -> Printf.sprintf "clock %d" c
+    | Machine.Ev_commit { addr; value; age; kind } ->
+        Printf.sprintf "commit %d=%d age %d %s" addr value age (Machine.drain_kind_name kind)
+  in
+  Printf.sprintf "%d@%d %s" tid now what
+
+(* Everything a run can be told apart by, as labelled strings. *)
+let snapshot m g ~reason ~events ~interrupts =
+  let reason =
+    match reason with
+    | Machine.All_finished -> "finished"
+    | Machine.Max_ticks -> "max_ticks"
+    | Machine.Stop_condition -> "stop"
+  in
+  let per_thread tid =
+    let s = Machine.stats m tid in
+    let res kind =
+      let h = Machine.residency_by_kind m tid kind in
+      Printf.sprintf "%s:%d/%d/%d[%s]" (Machine.drain_kind_name kind) (Tbtso_obs.Hist.count h)
+        (Tbtso_obs.Hist.sum h) (Tbtso_obs.Hist.max_value h)
+        (String.concat "," (Array.to_list (Array.map string_of_int (Tbtso_obs.Hist.buckets h))))
+    in
+    [
+      ( Printf.sprintf "stats %d" tid,
+        Printf.sprintf "loads %d stores %d rmws %d fences %d clock %d misses %d drains %d/%d/%d res %d"
+          s.loads s.stores s.rmws s.fences s.clock_reads s.cache_misses s.drains s.forced_drains
+          s.exit_drains s.max_residency );
+      (Printf.sprintf "residency %d" tid, String.concat " " (List.map res Machine.drain_kinds));
+    ]
+  in
+  [ ("reason", reason); ("clock", string_of_int (Machine.now m)) ]
+  @ List.concat_map per_thread (List.init (Machine.thread_count m) Fun.id)
+  @ [
+      ( "memory",
+        String.concat " "
+          (List.init 32 (fun i -> string_of_int (Memory.read (Machine.memory m) (g + i)))) );
+      ("events", String.concat "; " (List.rev_map event_string !events));
+      ("interrupts", String.concat " " (List.rev !interrupts));
+    ]
+
+let await_run (spin : spin) cfg ~hook ~style ~backoff pattern =
+  let m = Machine.create cfg in
+  let g = Machine.alloc_global m 32 in
+  let events = ref [] and interrupts = ref [] in
+  if hook then Machine.set_event_hook m (fun ~tid ~now ev -> events := (tid, now, ev) :: !events);
+  Machine.set_interrupt_hook m (fun ~tid ~now ->
+      interrupts := Printf.sprintf "%d@%d" tid now :: !interrupts);
+  List.iter (fun f -> ignore (Machine.spawn m f)) (await_threads spin ~backoff pattern g);
+  let first =
+    match style with
+    | Clock_stop -> Machine.run ~stop_when:(fun m -> Machine.now m >= 1500) m
+    | Max_ticks -> Machine.run ~max_ticks:1500 m
+    | To_completion -> Machine.run m
+  in
+  let at_first = snapshot m g ~reason:first ~events ~interrupts in
+  let last = Machine.run m in
+  at_first @ snapshot m g ~reason:last ~events ~interrupts
+
+let consistencies =
+  Config.[ Sc; Tso; Tbtso 40; Tso_spatial 2; Tbtso_hw { tau = 30; quiesce = 10 } ]
+
+let consistency_name = function
+  | Config.Sc -> "sc"
+  | Config.Tso -> "tso"
+  | Config.Tbtso d -> Printf.sprintf "tbtso:%d" d
+  | Config.Tso_spatial s -> Printf.sprintf "tsos:%d" s
+  | Config.Tbtso_hw { tau; quiesce } -> Printf.sprintf "hw:%d/%d" tau quiesce
+
+let test_await_equals_loop () =
+  let cases = ref 0 in
+  List.iter
+    (fun consistency ->
+      List.iter
+        (fun interrupts ->
+          List.iter
+            (fun jitter ->
+              List.iter
+                (fun hook ->
+                  List.iter
+                    (fun style ->
+                      List.iter
+                        (fun backoff ->
+                          List.iter
+                            (fun pattern ->
+                              let cfg = await_cfg consistency ~interrupts ~jitter in
+                              let run spin = await_run spin cfg ~hook ~style ~backoff pattern in
+                              let expected = run loop_await and got = run Sim.await in
+                              let name =
+                                Printf.sprintf "%s irq %b jitter %g hook %b %s backoff %d %s"
+                                  (consistency_name consistency) interrupts jitter hook
+                                  (run_style_name style) backoff (pattern_name pattern)
+                              in
+                              List.iter2
+                                (fun (label, e) (_, g) ->
+                                  Alcotest.(check string) (name ^ ": " ^ label) e g)
+                                expected got;
+                              incr cases)
+                            patterns)
+                        [ 0; 7 ])
+                    [ Clock_stop; Max_ticks; To_completion ])
+                [ false; true ])
+            [ 0.0; 0.2 ])
+        [ false; true ])
+    consistencies;
+  check_int "grid size" (5 * 2 * 2 * 2 * 3 * 2 * 4) !cases
+
+(* On an idle machine the awaiter takes iterations without calling
+   [until]: fewer calls than loads, with the loop's loads and clock. *)
+let test_await_skips () =
+  let calls = ref 0 in
+  let counting a ~until ~backoff =
+    Sim.await a ~backoff ~until:(fun v ->
+        incr calls;
+        until v)
+  in
+  let run spin =
+    let m = Machine.create (await_cfg Config.Tso ~interrupts:false ~jitter:0.0) in
+    let g = Machine.alloc_global m 32 in
+    List.iter (fun f -> ignore (Machine.spawn m f)) (await_threads spin ~backoff:7 Late_write g);
+    check_bool "finished" true (Machine.run m = Machine.All_finished);
+    ((Machine.stats m 0).loads, Machine.now m)
+  in
+  let loop_loads, loop_clock = run loop_await in
+  let loads, clock = run counting in
+  check_int "loads" loop_loads loads;
+  check_int "clock" loop_clock clock;
+  check_bool (Printf.sprintf "%d until calls < %d loads" !calls loads) true (!calls < loads)
+
+(* Freeing the awaited block raises at the same tick either way. *)
+let test_await_use_after_free () =
+  let run (spin : spin) =
+    let m = Machine.create (await_cfg Config.Tso ~interrupts:false ~jitter:0.0) in
+    let h = Heap.create m ~words:256 in
+    let block = Heap.alloc h 4 in
+    ignore (Machine.spawn m (fun () -> ignore (spin block ~until:(fun v -> v = 1) ~backoff:7)));
+    ignore
+      (Machine.spawn m (fun () ->
+           Sim.stall_for 1000;
+           Heap.free h block));
+    match Machine.run m with
+    | _ -> Alcotest.fail "no use-after-free"
+    | exception Memory.Use_after_free { addr; tid; at; write } ->
+        check_int "addr" block addr;
+        check_int "tid" 0 tid;
+        check_bool "read" false write;
+        (at, Machine.now m, (Machine.stats m 0).loads)
+  in
+  let at, now, loads = run loop_await in
+  let at', now', loads' = run Sim.await in
+  check_int "raised at" at at';
+  check_int "clock" now now';
+  check_int "loads" loads loads'
+
+(* A bounded run leaves the awaiter parked at each of its steps;
+   kill_remaining unwinds it. *)
+let test_await_kill_remaining () =
+  List.iter
+    (fun max_ticks ->
+      let m = Machine.create (await_cfg Config.Tso ~interrupts:false ~jitter:0.0) in
+      let g = Machine.alloc_global m 8 in
+      let unwound = ref false in
+      ignore
+        (Machine.spawn m (fun () ->
+             Fun.protect
+               ~finally:(fun () -> unwound := true)
+               (fun () -> ignore (Sim.await g ~until:(fun v -> v = 1) ~backoff:7))));
+      check_bool "bounded" true (Machine.run ~max_ticks m = Machine.Max_ticks);
+      Machine.kill_remaining m;
+      check_bool (Printf.sprintf "unwound after %d ticks" max_ticks) true !unwound;
+      check_bool "nothing left" true (Machine.run m = Machine.All_finished))
+    [ 100; 101; 102; 103; 104 ]
+
+(* An exception from [until] is the thread's, as in the loop. *)
+let test_await_until_raises () =
+  let m = Machine.create sc_config in
+  let g = Machine.alloc_global m 8 in
+  ignore (Machine.spawn m (fun () -> ignore (Sim.await g ~until:(fun _ -> failwith "until") ~backoff:0)));
+  check_bool "failure surfaces" true
+    (try
+       ignore (Machine.run m);
+       false
+     with Machine.Thread_failure { tid = 0; exn = Failure msg } -> msg = "until")
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1442,6 +1712,14 @@ let () =
       ( "residency",
         [
           Alcotest.test_case "delta invariant" `Quick test_residency_delta_invariant;
+        ] );
+      ( "await",
+        [
+          Alcotest.test_case "await equals loop" `Quick test_await_equals_loop;
+          Alcotest.test_case "await skips on idle machine" `Quick test_await_skips;
+          Alcotest.test_case "await use-after-free tick" `Quick test_await_use_after_free;
+          Alcotest.test_case "await kill_remaining" `Quick test_await_kill_remaining;
+          Alcotest.test_case "await until raises" `Quick test_await_until_raises;
         ] );
       ( "rfo",
         [

@@ -544,7 +544,7 @@ let tab_quiesce m =
              done))
     done;
     let run_ticks = Config.ms 2 in
-    ignore (Machine.run ~stop_when:(fun mm -> Machine.now mm >= run_ticks) machine);
+    ignore (Machine.run ~max_ticks:(run_ticks - Machine.now machine) machine);
     Machine.request_stop machine;
     ignore (Machine.run ~max_ticks:run_ticks machine);
     Machine.kill_remaining machine;
@@ -739,7 +739,7 @@ let ext_prw m =
              incr writes;
              Sim.work (Rng.int_in rng (writer_gap / 2) (writer_gap * 3 / 2))
            done));
-    ignore (Machine.run ~stop_when:(fun mm -> Machine.now mm >= run_ticks) machine);
+    ignore (Machine.run ~max_ticks:(run_ticks - Machine.now machine) machine);
     Machine.request_stop machine;
     ignore (Machine.run ~max_ticks:(run_ticks + (10 * writer_gap)) machine);
     Machine.kill_remaining machine;

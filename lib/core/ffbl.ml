@@ -76,16 +76,25 @@ let nonowner_lock t =
   let now = Sim.clock () in
   (* await (all owner stores issued before [now] visible) or (echo):
      either way it is then safe to trust what we read in flag0. *)
-  let rec await_bound () =
-    if version (Sim.load t.flag0) = v then t.echo_cuts <- t.echo_cuts + 1
-    else if Bound.visible_horizon t.bound ~now:(Sim.clock ()) > now then
-      t.full_waits <- t.full_waits + 1
-    else begin
-      Sim.work 10;
-      await_bound ()
-    end
-  in
-  await_bound ();
+  (match t.bound with
+  | Bound.Delta d ->
+      (* The horizon [clock - d] passes [now] once the clock does
+         [now + d]: one timed await. *)
+      let f0 = Sim.await t.flag0 ~until:(fun f0 -> version f0 = v) ~backoff:10 ~deadline:(now + d) in
+      if version f0 = v then t.echo_cuts <- t.echo_cuts + 1
+      else t.full_waits <- t.full_waits + 1
+  | Bound.Core_array _ ->
+      (* Every probe loads each core's entry. *)
+      let rec await_bound () =
+        if version (Sim.load t.flag0) = v then t.echo_cuts <- t.echo_cuts + 1
+        else if Bound.visible_horizon t.bound ~now:(Sim.clock ()) > now then
+          t.full_waits <- t.full_waits + 1
+        else begin
+          Sim.work 10;
+          await_bound ()
+        end
+      in
+      await_bound ());
   (* await flag0.f = 0. *)
   ignore (Sim.await t.flag0 ~until:(fun f0 -> raised f0 = 0) ~backoff:10)
 

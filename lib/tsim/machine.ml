@@ -4,13 +4,16 @@ exception Thread_failure of { tid : int; exn : exn }
 
 exception Deadlock of string
 
-(* A Sim.await in progress: its loop's next step. *)
-type await_step = A_load | A_work | A_complete
+(* A Sim.await in progress: its loop's next step. [A_clock] is taken
+   only with a deadline. *)
+type await_step = A_load | A_clock | A_work | A_complete
 
 type await = {
   aw_addr : int;
   until : int -> bool;
   backoff : int;
+  deadline : int option;
+  mutable last : int;  (* the latest failed load's value *)
   mutable step : await_step;
 }
 
@@ -330,10 +333,11 @@ let start_thread t (th : thread) (body : unit -> unit) =
                 (fun (k : (a, unit) continuation) ->
                   th.pending <- Some (O_stall_until target);
                   th.stash <- Stash (k, as_unit))
-          | Sim.E_await (aw_addr, until, backoff) ->
+          | Sim.E_await (aw_addr, until, backoff, deadline) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_await { aw_addr; until; backoff; step = A_load });
+                  th.pending <-
+                    Some (O_await { aw_addr; until; backoff; deadline; last = 0; step = A_load });
                   th.stash <- Stash (k, as_int))
           (* Meta-operations: answered immediately, no machine action. *)
           | Sim.E_tid -> Some (fun (k : (a, unit) continuation) -> continue k th.tid)
@@ -493,21 +497,31 @@ let next_interrupt t th period =
   let r = if r < 0 then r + period else r in
   t.clock + (period - r)
 
-(* Called after [th]'s await load at [t.clock] failed. When no other
-   thread, store buffer, interrupt or clock predicate can act before
-   [limit], every later iteration that loads before [limit] reads the
-   same word of the same unchanged line: the same value, a cache hit, no
-   new reader record. Take those [k] iterations at once and leave [th]
-   as the k-th of them would: its load done, its work step next. The
-   conditions are those under which a quiet tick changes nothing: no
-   schedule noise (which draws from the RNG), no event hook (which sees
-   every load), no Tbtso_hw quiescence, and a non-zero load cost (so that
-   each step lands on the tick [ready_at] names). *)
+(* The await step after a failed iteration's clock read, or after its
+   load when there is no deadline: [work backoff], or the next load. *)
+let after_test w = if w.backoff > 0 then A_work else A_load
+
+(* Called after [th]'s await load at [t.clock] failed; the decision is
+   made here, never at the clock read, by which time another thread's
+   store may have reached the awaited word. When no other thread, store
+   buffer, interrupt or clock predicate can act before [limit], every
+   later iteration whose last step lands before [limit] reads the same
+   word of the same unchanged line: the same value, a cache hit, no new
+   reader record. That last step is the load, or with a deadline the
+   clock read [load] ticks after it; [limit] is then also capped at
+   [deadline + 1], so every skipped clock read fails. Take those [k]
+   iterations at once and leave [th] as the k-th of them would: its load
+   (and clock read) done, its work step next. The conditions are those
+   under which a quiet tick changes nothing: no schedule noise (which
+   draws from the RNG), no event hook (which sees every load and clock
+   read), no Tbtso_hw quiescence, and non-zero load and clock-read costs
+   (so that each step lands on the tick [ready_at] names). *)
 let skip_idle t th w =
   let costs = t.cfg.Config.costs in
   if
     t.skip_deadline > t.clock
     && costs.load > 0
+    && (costs.clock_read > 0 || w.deadline = None)
     && t.cfg.Config.jitter = 0.0
     && (not (tracing t))
     && match t.cfg.Config.consistency with
@@ -525,17 +539,29 @@ let skip_idle t th w =
         | None -> ()
       end
     done;
-    (* Loads land at [first], [first + period], ... *)
-    let first, period =
-      if w.backoff > 0 then (th.ready_at + w.backoff + 1, costs.load + w.backoff + 1)
-      else (th.ready_at, costs.load)
+    (* An iteration's last step before its backoff lands [read] ticks
+       after its load. *)
+    let read, clock_cost =
+      match w.deadline with
+      | None -> (0, 0)
+      | Some d ->
+          if d < !limit then limit := d + 1;
+          (costs.load, costs.clock_read)
     in
+    (* Loads land at [first], [first + period], ... *)
+    let tail = if w.backoff > 0 then w.backoff + 1 else 0 in
+    let first = th.ready_at + clock_cost + tail and period = costs.load + clock_cost + tail in
     (* A lone awaiter with no deadline spins forever either way. *)
-    if !limit < max_int && first < !limit then begin
-      let k = ((!limit - 1 - first) / period) + 1 in
-      th.ready_at <- first + ((k - 1) * period) + costs.load;
+    if !limit < max_int && first + read < !limit then begin
+      let k = ((!limit - 1 - first - read) / period) + 1 in
+      th.ready_at <- first + ((k - 1) * period) + costs.load + clock_cost;
       th.st.loads <- th.st.loads + k;
-      Cache.add_hits th.cache k
+      Cache.add_hits th.cache k;
+      if w.deadline <> None then begin
+        (* The current iteration's clock read and the k skipped ones. *)
+        th.st.clock_reads <- th.st.clock_reads + k + 1;
+        w.step <- after_test w
+      end
     end
   end
 
@@ -672,11 +698,22 @@ let exec t th =
                   th.pending <- None;
                   resume_thread th v
               | false ->
-                  if w.backoff > 0 then w.step <- A_work;
+                  w.last <- v;
+                  w.step <- (match w.deadline with Some _ -> A_clock | None -> after_test w);
                   skip_idle t th w
               | exception e ->
                   th.pending <- None;
                   fail_thread th e);
+              true
+          | A_clock ->
+              th.st.clock_reads <- th.st.clock_reads + 1;
+              th.ready_at <- t.clock + costs.clock_read;
+              if tracing t then emit t th (Ev_clock t.clock);
+              (match w.deadline with
+              | Some d when t.clock > d ->
+                  th.pending <- None;
+                  resume_thread th w.last
+              | Some _ | None -> w.step <- after_test w);
               true
           | A_work ->
               th.ready_at <- t.clock + w.backoff;

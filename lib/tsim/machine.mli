@@ -108,15 +108,24 @@ val run : ?max_ticks:int -> ?stop_when:(t -> bool) -> t -> stop_reason
 
     [stop_when] is checked after every stepped tick and where a
     fast-forward lands, not at every tick of the clock: a clock
-    predicate such as [now m >= n] can fire past tick [n]. Use
-    [max_ticks] for an exact stop.
+    predicate such as [now m >= n] can fire past tick [n]. Bound a
+    benchmark's measured phase with
+    [run ~max_ticks:(run_ticks - now m) m] instead: the stop is exact,
+    and awaits can skip (below), which a [stop_when] forbids.
 
     A {!Sim.await} whose load fails may take its later iterations at
-    once when nothing else can act before they are done (no other
-    thread due, no buffered store, no interrupt) and the run has no
-    [stop_when], no event hook is set, [jitter] is 0 and the mode is not
-    [Tbtso_hw]. Results, clock and statistics are those of stepping
-    each iteration; only [until]'s call count differs.
+    once. The decision is made at the failed load's tick, never at a
+    later step. It holds when the run has no [stop_when], no event hook
+    is set, [jitter] is 0, the mode is not [Tbtso_hw], and the [load]
+    cost (with a deadline, also [clock_read]) is non-zero. The machine
+    then takes every later iteration whose last step lands before the
+    first of: another thread's next step, an interrupt on any thread,
+    the run's own deadline, and, with a deadline, [deadline + 1]. An
+    iteration's last step is its load, or with a deadline its clock
+    read, [load] ticks after it, so every skipped clock read fails. No
+    iteration is skipped while any store is buffered. Results, clock and
+    statistics (clock reads included) are those of stepping each
+    iteration; only [until]'s call count differs.
     @raise Thread_failure if a thread body raises.
     @raise Memory.Use_after_free on a detected access to freed memory.
     @raise Deadlock if no progress is possible. *)

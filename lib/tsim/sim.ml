@@ -11,7 +11,7 @@ type _ Effect.t +=
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
-  | E_await : int * (int -> bool) * int -> int Effect.t
+  | E_await : int * (int -> bool) * int * int option -> int Effect.t
 
 exception Killed
 
@@ -43,6 +43,6 @@ let stopping () = Effect.perform E_stopping
 
 let label s = Effect.perform (E_label s)
 
-let await a ~until ~backoff = Effect.perform (E_await (a, until, backoff))
+let await ?deadline a ~until ~backoff = Effect.perform (E_await (a, until, backoff, deadline))
 
 let rec spin_while cond = if cond () then spin_while cond

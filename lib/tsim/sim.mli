@@ -27,7 +27,7 @@ type _ Effect.t +=
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
-  | E_await : int * (int -> bool) * int -> int Effect.t
+  | E_await : int * (int -> bool) * int * int option -> int Effect.t
 
 exception Killed
 (** Used by the machine to unwind threads abandoned at the end of a
@@ -80,23 +80,27 @@ val stopping : unit -> bool
 val label : string -> unit
 (** Emit a trace label (zero cost; no-op unless tracing is enabled). *)
 
-val await : int -> until:(int -> bool) -> backoff:int -> int
-(** [await a ~until ~backoff] is the spin-wait
+val await : ?deadline:int -> int -> until:(int -> bool) -> backoff:int -> int
+(** [await ?deadline a ~until ~backoff] is the spin-wait
 
     {[
       let rec go () =
         let v = load a in
-        if until v then v else (work backoff; go ())
+        if until v then v
+        else if (* only when ~deadline is given *) clock () > deadline then v
+        else (work backoff; go ())
     ]}
 
     run by the machine as one instruction: the thread is not resumed
-    between iterations, and every load, tick and statistic is the one
-    the loop above would produce. A [backoff <= 0] loads back to back,
-    as [work 0] is a no-op. [until] must be pure: it is called once per
-    executed load, and when nothing else in the machine can act before
-    a later iteration could differ, the machine takes those iterations
-    at once without calling it (see {!Machine.run}). Returns the value
-    that satisfied [until]. *)
+    between iterations, and every load, clock read, tick and statistic
+    is the one the loop above would produce. Without [~deadline] there
+    is no clock read. A [backoff <= 0] loads back to back, as [work 0]
+    is a no-op. [until] must be pure: it is called once per executed
+    load, and when nothing else in the machine can act before a later
+    iteration could differ, the machine takes those iterations at once
+    without calling it (see {!Machine.run}). Returns the value that
+    satisfied [until], or on the deadline exit the value that failed it:
+    the caller re-tests [until] to tell the two exits apart. *)
 
 val spin_while : (unit -> bool) -> unit
 (** Re-evaluate the condition until it turns false. Each probe costs

@@ -157,7 +157,7 @@ let run p =
            done))
   done;
   post_spawn ();
-  ignore (Machine.run ~stop_when:(fun m -> Machine.now m >= p.run_ticks) machine);
+  ignore (Machine.run ~max_ticks:(p.run_ticks - Machine.now machine) machine);
   Machine.request_stop machine;
   (* Grace: let loops observe the stop flag; covers the stall duration
      and the RCU reclaimer period (clock jumps keep this cheap). *)

@@ -165,7 +165,7 @@ let run p =
            incr nonowner_acqs;
            Sim.work (gap rng p.pattern.nonowner_gap)
          done));
-  ignore (Machine.run ~stop_when:(fun m -> Machine.now m >= p.run_ticks) machine);
+  ignore (Machine.run ~max_ticks:(p.run_ticks - Machine.now machine) machine);
   Machine.request_stop machine;
   ignore (Machine.run ~max_ticks:(p.run_ticks + (100 * Config.ms 1)) machine);
   Machine.kill_remaining machine;

@@ -52,7 +52,7 @@ let run ?label ?trace ?(nthreads = 4) ?(work_gap = 20) ~config ~run_ticks () =
              Sim.work work_gap
            done))
   done;
-  ignore (Machine.run ~stop_when:(fun m -> Machine.now m >= run_ticks) machine);
+  ignore (Machine.run ~max_ticks:(run_ticks - Machine.now machine) machine);
   Machine.request_stop machine;
   (* Wind-down budget: every thread is within one loop iteration of
      observing the stop flag. *)

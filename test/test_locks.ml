@@ -362,6 +362,182 @@ let test_ffbl_same_scenario_safe_under_tbtso () =
   in
   check_int "no overlap under TBTSO" 0 (ffbl_tso_scenario cfg ~bound_delta:500)
 
+(* ------------------------------------------------------------------ *)
+(* FFBL's Δ wait as one Sim.await vs the loop it replaced              *)
+(* ------------------------------------------------------------------ *)
+
+(* Ffbl as it was with the Δ wait as an explicit load/clock/work loop. *)
+module Loop_ffbl = struct
+  let encode ~v ~f = (v lsl 1) lor f
+  let version x = x lsr 1
+  let raised x = x land 1
+
+  type t = {
+    flag0 : int;
+    flag1 : int;
+    l : Spinlock.Tas.t;
+    delta : int;
+    echo : bool;
+    mutable echo_cuts : int;
+    mutable full_waits : int;
+  }
+
+  let create machine ~delta ~echo =
+    {
+      flag0 = Machine.alloc_global machine 8;
+      flag1 = Machine.alloc_global machine 8;
+      l = Spinlock.Tas.create machine;
+      delta;
+      echo;
+      echo_cuts = 0;
+      full_waits = 0;
+    }
+
+  let owner_lock t =
+    Sim.store t.flag0 (encode ~v:0 ~f:1);
+    if raised (Sim.load t.flag1) <> 0 then begin
+      Sim.store t.flag0 (encode ~v:0 ~f:0);
+      let rec acquire () =
+        if not (Spinlock.Tas.trylock t.l) then begin
+          if t.echo then Sim.store t.flag0 (encode ~v:(version (Sim.load t.flag1)) ~f:0)
+          else Sim.work 10;
+          acquire ()
+        end
+      in
+      acquire ()
+    end
+
+  let owner_unlock t =
+    if raised (Sim.load t.flag0) <> 0 then Sim.store t.flag0 (encode ~v:0 ~f:0)
+    else begin
+      Sim.store t.flag0 (encode ~v:0 ~f:0);
+      Spinlock.Tas.unlock t.l
+    end
+
+  let nonowner_lock t =
+    Spinlock.Tas.lock t.l;
+    let v = version (Sim.load t.flag1) + 1 in
+    Sim.store t.flag1 (encode ~v ~f:1);
+    Sim.fence ();
+    let now = Sim.clock () in
+    let rec await_bound () =
+      if version (Sim.load t.flag0) = v then t.echo_cuts <- t.echo_cuts + 1
+      else if Bound.visible_horizon (Bound.Delta t.delta) ~now:(Sim.clock ()) > now then
+        t.full_waits <- t.full_waits + 1
+      else begin
+        Sim.work 10;
+        await_bound ()
+      end
+    in
+    await_bound ();
+    ignore (Sim.await t.flag0 ~until:(fun f0 -> raised f0 = 0) ~backoff:10)
+
+  let nonowner_unlock t =
+    let v = version (Sim.load t.flag1) + 1 in
+    Sim.store t.flag1 (encode ~v ~f:0);
+    Spinlock.Tas.unlock t.l
+end
+
+(* A lock's operations and its (echo cuts, full waits) counters. *)
+let ffbl_impl machine ~echo =
+  let l, ops = ffbl_ops ~echo () machine in
+  (ops, fun () -> (Ffbl.nonowner_echo_cuts l, Ffbl.nonowner_full_waits l))
+
+let loop_ffbl_impl machine ~echo =
+  let l = Loop_ffbl.create machine ~delta ~echo in
+  ( {
+      olock = (fun () -> Loop_ffbl.owner_lock l);
+      ounlock = (fun () -> Loop_ffbl.owner_unlock l);
+      nlock = (fun () -> Loop_ffbl.nonowner_lock l);
+      nunlock = (fun () -> Loop_ffbl.nonowner_unlock l);
+    },
+    fun () -> (l.echo_cuts, l.full_waits) )
+
+(* What the owner does while the non-owner takes the lock 12 times with
+   varying gaps: sits in one long work after a single acquisition, keeps
+   acquiring (so it meets the non-owner's raised flag and takes the slow
+   path), or stalls inside its critical section with its flag raised. *)
+type owner = Owner_idle | Owner_spinning | Owner_stalled
+
+let owner_name = function
+  | Owner_idle -> "idle owner"
+  | Owner_spinning -> "spinning owner"
+  | Owner_stalled -> "stalled owner"
+
+let ffbl_wait_run make cfg ~echo owner =
+  let m = Machine.create cfg in
+  let l, waits = make m ~echo in
+  let nonowner_done = ref false and acquired = ref [] in
+  ignore
+    (Machine.spawn m (fun () ->
+         match owner with
+         | Owner_idle ->
+             l.olock ();
+             Sim.work 10;
+             l.ounlock ();
+             Sim.work (40 * delta)
+         | Owner_spinning ->
+             while not !nonowner_done do
+               l.olock ();
+               Sim.work 10;
+               l.ounlock ();
+               Sim.work 20
+             done
+         | Owner_stalled ->
+             for _ = 1 to 3 do
+               l.olock ();
+               Sim.stall_for (3 * delta);
+               l.ounlock ();
+               Sim.work 2_000
+             done));
+  ignore
+    (Machine.spawn m (fun () ->
+         for i = 1 to 12 do
+           l.nlock ();
+           acquired := Machine.now m :: !acquired;
+           Sim.work 10;
+           l.nunlock ();
+           Sim.work (100 + (37 * i mod 50))
+         done;
+         nonowner_done := true));
+  check_bool "finished" true (Machine.run ~max_ticks:(1000 * delta) m = Machine.All_finished);
+  let cuts, full = waits () in
+  let stats tid =
+    let s = Machine.stats m tid in
+    Printf.sprintf "loads %d stores %d rmws %d fences %d clock %d misses %d drains %d/%d/%d"
+      s.loads s.stores s.rmws s.fences s.clock_reads s.cache_misses s.drains s.forced_drains
+      s.exit_drains
+  in
+  [
+    ("echo cuts", string_of_int cuts);
+    ("full waits", string_of_int full);
+    ("owner stats", stats 0);
+    ("nonowner stats", stats 1);
+    ("acquired at", String.concat " " (List.rev_map string_of_int !acquired));
+    ("clock", string_of_int (Machine.now m));
+  ]
+
+(* Ffbl.nonowner_lock's timed Sim.await takes the loop's every load,
+   clock read and tick, on a quiet machine (where awaits skip) and a
+   noisy one (jitter, adversarial drains). *)
+let test_ffbl_delta_wait_equals_loop () =
+  let quiet = Config.(with_consistency (Tbtso delta) default) in
+  List.iter
+    (fun (cfg_name, cfg) ->
+      List.iter
+        (fun echo ->
+          List.iter
+            (fun owner ->
+              let name = Printf.sprintf "%s echo %b %s" cfg_name echo (owner_name owner) in
+              let expected = ffbl_wait_run loop_ffbl_impl cfg ~echo owner in
+              let got = ffbl_wait_run ffbl_impl cfg ~echo owner in
+              List.iter2
+                (fun (label, e) (_, g) -> Alcotest.(check string) (name ^ ": " ^ label) e g)
+                expected got)
+            [ Owner_idle; Owner_spinning; Owner_stalled ])
+        [ true; false ])
+    [ ("quiet", quiet); ("noisy", tbtso_cfg 3) ]
+
 let () =
   Alcotest.run "locks"
     [
@@ -387,6 +563,7 @@ let () =
         [
           Alcotest.test_case "echo cuts waits" `Quick test_ffbl_echo_cuts_wait;
           Alcotest.test_case "full wait without echo" `Quick test_ffbl_full_wait_without_echo;
+          Alcotest.test_case "delta wait equals loop" `Quick test_ffbl_delta_wait_equals_loop;
         ] );
       ( "availability",
         [

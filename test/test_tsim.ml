@@ -1340,10 +1340,11 @@ let test_trace_export_parses () =
 (* ------------------------------------------------------------------ *)
 
 (* The loop Sim.await is defined to be. *)
-let loop_await a ~until ~backoff =
+let loop_await ?deadline a ~until ~backoff =
   let rec go () =
     let v = Sim.load a in
     if until v then v
+    else if match deadline with Some d -> Sim.clock () > d | None -> false then v
     else begin
       Sim.work backoff;
       go ()
@@ -1351,7 +1352,7 @@ let loop_await a ~until ~backoff =
   in
   go ()
 
-type spin = int -> until:(int -> bool) -> backoff:int -> int
+type spin = ?deadline:int -> int -> until:(int -> bool) -> backoff:int -> int
 
 (* Interrupts cost 5 ticks so that a 97-tick period leaves time to run. *)
 let await_cfg consistency ~interrupts ~jitter =
@@ -1364,8 +1365,9 @@ let await_cfg consistency ~interrupts ~jitter =
     seed = 7L;
   }
 
-(* Thread bodies over globals [g .. g + 31]: thread 0 awaits [x = g];
-   [y] shares its line; [ack] and [z] live on lines of their own. *)
+(* Thread bodies over globals [g .. g + 31]: thread 0 awaits [x = g],
+   until [deadline] if one is given; [y] shares its line; [ack], [z] and
+   [out] live on lines of their own. *)
 type pattern = Late_write | Same_line_first | Own_buffered_store | Sleeper_wakes
 
 let patterns = [ Late_write; Same_line_first; Own_buffered_store; Sleeper_wakes ]
@@ -1376,11 +1378,20 @@ let pattern_name = function
   | Own_buffered_store -> "own buffered store"
   | Sleeper_wakes -> "sleeper wakes"
 
-let await_threads (spin : spin) ~backoff pattern g =
-  let x = g and y = g + 1 and ack = g + 8 and z = g + 16 in
+let await_threads ?deadline (spin : spin) ~backoff pattern g =
+  let x = g and y = g + 1 and ack = g + 8 and z = g + 16 and out = g + 24 in
   let awaiter () =
     if pattern = Own_buffered_store then Sim.store x 3;
-    let v = spin x ~until:(fun v -> v = 1) ~backoff in
+    let v = spin ?deadline x ~until:(fun v -> v = 1) ~backoff in
+    let v =
+      if v = 1 then v
+      else begin
+        (* The deadline exit returns the value that failed [until]:
+           record it, then wait on without a deadline. *)
+        Sim.store out (v + 100);
+        spin x ~until:(fun v -> v = 1) ~backoff
+      end
+    in
     Sim.store ack v;
     Sim.work 20
   in
@@ -1425,7 +1436,16 @@ let event_string (tid, now, (ev : Machine.event)) =
   in
   Printf.sprintf "%d@%d %s" tid now what
 
-(* Everything a run can be told apart by, as labelled strings. *)
+(* A labelled part of what a run can be told apart by: compared as
+   data, and printed only when it differs. *)
+type value = Text of string | Ints of int list | Events of (int * int * Machine.event) list
+
+let show_value = function
+  | Text s -> s
+  | Ints l -> String.concat " " (List.map string_of_int l)
+  | Events evs -> String.concat "; " (List.rev_map event_string evs)
+
+(* Everything a run can be told apart by. *)
 let snapshot m g ~reason ~events ~interrupts =
   let reason =
     match reason with
@@ -1437,36 +1457,35 @@ let snapshot m g ~reason ~events ~interrupts =
     let s = Machine.stats m tid in
     let res kind =
       let h = Machine.residency_by_kind m tid kind in
-      Printf.sprintf "%s:%d/%d/%d[%s]" (Machine.drain_kind_name kind) (Tbtso_obs.Hist.count h)
-        (Tbtso_obs.Hist.sum h) (Tbtso_obs.Hist.max_value h)
-        (String.concat "," (Array.to_list (Array.map string_of_int (Tbtso_obs.Hist.buckets h))))
+      Tbtso_obs.Hist.count h :: Tbtso_obs.Hist.sum h :: Tbtso_obs.Hist.max_value h
+      :: Array.to_list (Tbtso_obs.Hist.buckets h)
     in
     [
       ( Printf.sprintf "stats %d" tid,
-        Printf.sprintf "loads %d stores %d rmws %d fences %d clock %d misses %d drains %d/%d/%d res %d"
-          s.loads s.stores s.rmws s.fences s.clock_reads s.cache_misses s.drains s.forced_drains
-          s.exit_drains s.max_residency );
-      (Printf.sprintf "residency %d" tid, String.concat " " (List.map res Machine.drain_kinds));
+        Text
+          (Printf.sprintf
+             "loads %d stores %d rmws %d fences %d clock %d misses %d drains %d/%d/%d res %d"
+             s.loads s.stores s.rmws s.fences s.clock_reads s.cache_misses s.drains
+             s.forced_drains s.exit_drains s.max_residency) );
+      (Printf.sprintf "residency %d" tid, Ints (List.concat_map res Machine.drain_kinds));
     ]
   in
-  [ ("reason", reason); ("clock", string_of_int (Machine.now m)) ]
+  [ ("reason", Text reason); ("clock", Ints [ Machine.now m ]) ]
   @ List.concat_map per_thread (List.init (Machine.thread_count m) Fun.id)
   @ [
-      ( "memory",
-        String.concat " "
-          (List.init 32 (fun i -> string_of_int (Memory.read (Machine.memory m) (g + i)))) );
-      ("events", String.concat "; " (List.rev_map event_string !events));
-      ("interrupts", String.concat " " (List.rev !interrupts));
+      ("memory", Ints (List.init 32 (fun i -> Memory.read (Machine.memory m) (g + i))));
+      ("events", Events !events);
+      (* tid, tick pairs *)
+      ("interrupts", Ints (List.rev !interrupts));
     ]
 
-let await_run (spin : spin) cfg ~hook ~style ~backoff pattern =
+let await_run ?deadline (spin : spin) cfg ~hook ~style ~backoff pattern =
   let m = Machine.create cfg in
   let g = Machine.alloc_global m 32 in
   let events = ref [] and interrupts = ref [] in
   if hook then Machine.set_event_hook m (fun ~tid ~now ev -> events := (tid, now, ev) :: !events);
-  Machine.set_interrupt_hook m (fun ~tid ~now ->
-      interrupts := Printf.sprintf "%d@%d" tid now :: !interrupts);
-  List.iter (fun f -> ignore (Machine.spawn m f)) (await_threads spin ~backoff pattern g);
+  Machine.set_interrupt_hook m (fun ~tid ~now -> interrupts := now :: tid :: !interrupts);
+  List.iter (fun f -> ignore (Machine.spawn m f)) (await_threads ?deadline spin ~backoff pattern g);
   let first =
     match style with
     | Clock_stop -> Machine.run ~stop_when:(fun m -> Machine.now m >= 1500) m
@@ -1487,6 +1506,45 @@ let consistency_name = function
   | Config.Tso_spatial s -> Printf.sprintf "tsos:%d" s
   | Config.Tbtso_hw { tau; quiesce } -> Printf.sprintf "hw:%d/%d" tau quiesce
 
+(* The deadline axis. [At_read d] is [d] ticks after the awaiter's
+   first clock read at or after tick 1200, found by a probe run. *)
+type deadline = No_deadline | Past | Mid_wait | Unreached | At_read of int
+
+let deadlines = [ No_deadline; Past; Mid_wait; Unreached; At_read (-1); At_read 0; At_read 1 ]
+
+let deadline_name = function
+  | No_deadline -> "no deadline"
+  | Past -> "deadline past"
+  | Mid_wait -> "deadline mid-wait"
+  | Unreached -> "deadline unreached"
+  | At_read d -> Printf.sprintf "deadline at read%+d" d
+
+let unreached = 1_000_000
+
+let deadline_tick dl ~read =
+  match dl with
+  | No_deadline -> None
+  | Past -> Some 0
+  | Mid_wait -> Some 1000
+  | Unreached -> Some unreached
+  | At_read d -> Some (read + d)
+
+(* The tick of the awaiter's first clock read at or after tick 1200 when
+   its deadline is never reached. *)
+let awaiter_read cfg ~backoff pattern =
+  let m = Machine.create cfg in
+  let g = Machine.alloc_global m 32 in
+  let read = ref None in
+  Machine.set_event_hook m (fun ~tid ~now ev ->
+      match ev with
+      | Machine.Ev_clock _ when tid = 0 && now >= 1200 && !read = None -> read := Some now
+      | _ -> ());
+  List.iter
+    (fun f -> ignore (Machine.spawn m f))
+    (await_threads ~deadline:unreached loop_await ~backoff pattern g);
+  ignore (Machine.run m);
+  match !read with Some r -> r | None -> Alcotest.fail "no clock read after tick 1200"
+
 let test_await_equals_loop () =
   let cases = ref 0 in
   List.iter
@@ -1496,41 +1554,51 @@ let test_await_equals_loop () =
           List.iter
             (fun jitter ->
               List.iter
-                (fun hook ->
+                (fun backoff ->
                   List.iter
-                    (fun style ->
+                    (fun pattern ->
+                      let cfg = await_cfg consistency ~interrupts ~jitter in
+                      let read = awaiter_read cfg ~backoff pattern in
                       List.iter
-                        (fun backoff ->
+                        (fun hook ->
                           List.iter
-                            (fun pattern ->
-                              let cfg = await_cfg consistency ~interrupts ~jitter in
-                              let run spin = await_run spin cfg ~hook ~style ~backoff pattern in
-                              let expected = run loop_await and got = run Sim.await in
-                              let name =
-                                Printf.sprintf "%s irq %b jitter %g hook %b %s backoff %d %s"
-                                  (consistency_name consistency) interrupts jitter hook
-                                  (run_style_name style) backoff (pattern_name pattern)
-                              in
-                              List.iter2
-                                (fun (label, e) (_, g) ->
-                                  Alcotest.(check string) (name ^ ": " ^ label) e g)
-                                expected got;
-                              incr cases)
-                            patterns)
-                        [ 0; 7 ])
-                    [ Clock_stop; Max_ticks; To_completion ])
-                [ false; true ])
+                            (fun style ->
+                              List.iter
+                                (fun dl ->
+                                  let deadline = deadline_tick dl ~read in
+                                  let run spin =
+                                    await_run ?deadline spin cfg ~hook ~style ~backoff pattern
+                                  in
+                                  let expected = run loop_await and got = run Sim.await in
+                                  let name =
+                                    Printf.sprintf "%s irq %b jitter %g hook %b %s backoff %d %s %s"
+                                      (consistency_name consistency) interrupts jitter hook
+                                      (run_style_name style) backoff (pattern_name pattern)
+                                      (deadline_name dl)
+                                  in
+                                  if expected <> got then
+                                    List.iter2
+                                      (fun (label, e) (_, g) ->
+                                        Alcotest.(check string)
+                                          (name ^ ": " ^ label) (show_value e) (show_value g))
+                                      expected got;
+                                  incr cases)
+                                deadlines)
+                            [ Clock_stop; Max_ticks; To_completion ])
+                        [ false; true ])
+                    patterns)
+                [ 0; 7 ])
             [ 0.0; 0.2 ])
         [ false; true ])
     consistencies;
-  check_int "grid size" (5 * 2 * 2 * 2 * 3 * 2 * 4) !cases
+  check_int "grid size" (5 * 2 * 2 * 2 * 3 * 2 * 4 * 7) !cases
 
 (* On an idle machine the awaiter takes iterations without calling
    [until]: fewer calls than loads, with the loop's loads and clock. *)
 let test_await_skips () =
   let calls = ref 0 in
-  let counting a ~until ~backoff =
-    Sim.await a ~backoff ~until:(fun v ->
+  let counting ?deadline a ~until ~backoff =
+    Sim.await ?deadline a ~backoff ~until:(fun v ->
         incr calls;
         until v)
   in
@@ -1546,6 +1614,50 @@ let test_await_skips () =
   check_int "loads" loop_loads loads;
   check_int "clock" loop_clock clock;
   check_bool (Printf.sprintf "%d until calls < %d loads" !calls loads) true (!calls < loads)
+
+(* A lone awaiter with a deadline skips to it: fewer [until] calls than
+   loads, with the loop's loads, clock reads, interrupts, clock and
+   return value. The sweep of interrupt periods lands interrupts on
+   every phase of the loop, the tick of a clock read included. *)
+let test_await_deadline_skips () =
+  List.iter
+    (fun (interrupt_period, backoff) ->
+      let calls = ref 0 in
+      let counting ?deadline a ~until ~backoff =
+        Sim.await ?deadline a ~backoff ~until:(fun v ->
+            incr calls;
+            until v)
+      in
+      let run (spin : spin) =
+        let cfg = { (await_cfg Config.Tso ~interrupts:false ~jitter:0.0) with interrupt_period } in
+        let m = Machine.create cfg in
+        let g = Machine.alloc_global m 8 in
+        let got = ref (-1) and interrupts = ref [] in
+        Machine.set_interrupt_hook m (fun ~tid:_ ~now -> interrupts := now :: !interrupts);
+        ignore
+          (Machine.spawn m (fun () -> got := spin ~deadline:5000 g ~until:(fun v -> v = 1) ~backoff));
+        check_bool "finished" true (Machine.run m = Machine.All_finished);
+        let s = Machine.stats m 0 in
+        (s.loads, s.clock_reads, !interrupts, Machine.now m, !got)
+      in
+      let name =
+        Printf.sprintf "irq %s backoff %d: "
+          (match interrupt_period with Some p -> string_of_int p | None -> "none")
+          backoff
+      in
+      let loop_loads, loop_reads, loop_irqs, loop_clock, loop_got = run loop_await in
+      let loads, reads, irqs, clock, got = run counting in
+      check_int (name ^ "loads") loop_loads loads;
+      check_int (name ^ "clock reads") loop_reads reads;
+      Alcotest.(check (list int)) (name ^ "interrupts") loop_irqs irqs;
+      check_int (name ^ "clock") loop_clock clock;
+      check_int (name ^ "deadline exit value") 0 loop_got;
+      check_int (name ^ "value") loop_got got;
+      check_bool (Printf.sprintf "%s%d until calls < %d loads" name !calls loads) true (!calls < loads))
+    (List.concat_map
+       (fun backoff ->
+         List.map (fun p -> (p, backoff)) (None :: List.init 21 (fun i -> Some (40 + i))))
+       [ 0; 7 ])
 
 (* Freeing the awaited block raises at the same tick either way. *)
 let test_await_use_after_free () =
@@ -1576,7 +1688,7 @@ let test_await_use_after_free () =
    kill_remaining unwinds it. *)
 let test_await_kill_remaining () =
   List.iter
-    (fun max_ticks ->
+    (fun (deadline, max_ticks) ->
       let m = Machine.create (await_cfg Config.Tso ~interrupts:false ~jitter:0.0) in
       let g = Machine.alloc_global m 8 in
       let unwound = ref false in
@@ -1584,12 +1696,13 @@ let test_await_kill_remaining () =
         (Machine.spawn m (fun () ->
              Fun.protect
                ~finally:(fun () -> unwound := true)
-               (fun () -> ignore (Sim.await g ~until:(fun v -> v = 1) ~backoff:7))));
+               (fun () -> ignore (Sim.await ?deadline g ~until:(fun v -> v = 1) ~backoff:7))));
       check_bool "bounded" true (Machine.run ~max_ticks m = Machine.Max_ticks);
       Machine.kill_remaining m;
       check_bool (Printf.sprintf "unwound after %d ticks" max_ticks) true !unwound;
       check_bool "nothing left" true (Machine.run m = Machine.All_finished))
-    [ 100; 101; 102; 103; 104 ]
+    (List.map (fun t -> (None, t)) [ 100; 101; 102; 103; 104 ]
+    @ List.init 11 (fun i -> (Some 1000, 100 + i)))
 
 (* An exception from [until] is the thread's, as in the loop. *)
 let test_await_until_raises () =
@@ -1717,6 +1830,7 @@ let () =
         [
           Alcotest.test_case "await equals loop" `Quick test_await_equals_loop;
           Alcotest.test_case "await skips on idle machine" `Quick test_await_skips;
+          Alcotest.test_case "deadline await skips" `Quick test_await_deadline_skips;
           Alcotest.test_case "await use-after-free tick" `Quick test_await_use_after_free;
           Alcotest.test_case "await kill_remaining" `Quick test_await_kill_remaining;
           Alcotest.test_case "await until raises" `Quick test_await_until_raises;

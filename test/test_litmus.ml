@@ -106,6 +106,10 @@ let tbtso_flag delta =
     [ Store (y, 1); Fence; Wait delta; Load (x, r1) ];
   ]
 
+(* The flag protocol with a third thread that stores to address 2 and
+   reads x. *)
+let tbtso_flag3 delta = tbtso_flag delta @ [ [ Store (2, 1); Load (x, r0) ] ]
+
 let test_tbtso_flag_principle () =
   List.iter
     (fun delta ->
@@ -513,7 +517,25 @@ let test_diff_boundary_grid () =
                 true (a = b))
             [ true; false ])
         [ 1; 2; 3; 5; 8; 25; 40 ])
-    [ 1; 2; 4; 7; 11 ]
+    [ 1; 2; 4; 7; 11 ];
+  (* The checker's headline programs at toy and paper scale; the
+     reference takes ~0.1 s on the flag at Δ = 100, and far longer on
+     the 3-thread flag there, so that one is diffed at Δ = 4 only. *)
+  List.iter
+    (fun (name, mode, p) ->
+      check_bool
+        (Printf.sprintf "%s %s ≡ reference" name (Litmus_parse.mode_id mode))
+        true
+        (enumerate ~mode p = enumerate_reference ~mode p))
+    ([ ("SB", M_sc, sb); ("SB", M_tso, sb); ("flag3", M_tbtso 4, tbtso_flag3 4) ]
+    @ List.concat_map
+        (fun d ->
+          [
+            ("SB", M_tbtso d, sb);
+            ("MP", M_tbtso d, mp);
+            ("flag", M_tbtso d, tbtso_flag d);
+          ])
+        [ 4; 100 ])
 
 let test_recursion_killer () =
   (* A wait of 200k ticks: the seed's recursive tick-by-tick explorer
@@ -531,11 +553,11 @@ let test_recursion_killer () =
     [ [ Wait 1_000_000; Store (x, 1); Load (y, r0) ]; [ Store (y, 1); Load (x, r1) ] ]
   in
   List.iter
-    (fun mode ->
+    (fun (mode, visited) ->
       let r = explore ~mode q in
       check_bool "completes under cap" true r.complete;
-      check_bool "tiny state count under cap" true (r.stats.visited < 10_000))
-    [ M_tso; M_tbtso 4 ]
+      check_int "state count under cap" visited r.stats.visited)
+    [ (M_tso, 71); (M_tbtso 4, 144) ]
 
 let test_paper_scale_delta () =
   (* Acceptance bar from the issue: SB and the flag protocol at the
@@ -929,22 +951,81 @@ let prop_pooled_sat_differential =
           = List.map (fun mode -> Axiomatic.enumerate ~mode p) sat_corpus_modes))
 
 let test_flag_flat_in_delta () =
-  (* The headline zone-abstraction result (and the CI sweep gate): the
-     explored state count for the flag protocols at Δ = 64 stays within
-     2× of Δ = 4, where the concrete-counter explorer grew linearly. *)
+  (* The headline zone-abstraction result: the explored state count for
+     the flag protocols stays flat in Δ, where the concrete-counter
+     explorer grew linearly. Every point must complete (a budget-cut
+     count says nothing about the true ratio), its visited count is
+     pinned exactly, and the SAT oracle must agree on the outcome set;
+     the encoding size is pinned at both ends of the grid. *)
+  let deltas = [ 4; 8; 16; 32; 64; 128; 256; 512 ] in
   List.iter
-    (fun (name, prog) ->
-      let states d = (explore ~mode:(M_tbtso d) (prog d)).stats.visited in
-      let lo = states 4 and hi = states 64 in
+    (fun (name, prog, visited, sat_lo, sat_hi) ->
+      let at d =
+        let p = prog d and mode = M_tbtso d in
+        let where = Printf.sprintf "%s Δ=%d" name d in
+        let r = explore ~mode p and sat = Axiomatic.explore ~mode p in
+        check_bool (where ^ " complete") true r.complete;
+        check_bool (where ^ " SAT complete") true sat.Axiomatic.complete;
+        check_bool (where ^ " SAT ≡ explorer") true
+          (sat.Axiomatic.outcomes = r.outcomes);
+        (match List.assoc_opt d [ (4, sat_lo); (512, sat_hi) ] with
+        | Some (vars, clauses) ->
+            let st = sat.Axiomatic.stats in
+            check_int (where ^ " SAT vars") vars st.Axiomatic.vars;
+            check_int (where ^ " SAT clauses") clauses st.Axiomatic.clauses
+        | None -> ());
+        r.stats.visited
+      in
+      let counts = List.map (fun d -> (d, at d)) deltas in
+      Alcotest.(check (list int))
+        (name ^ ": visited per Δ") visited (List.map snd counts);
+      let lo = List.assoc 4 counts and hi = List.assoc 64 counts in
       check_bool
         (Printf.sprintf "%s: states at Δ=64 (%d) ≤ 2× Δ=4 (%d)" name hi lo)
         true
         (hi <= 2 * lo))
     [
-      ("flag wait=4", fun _ -> tbtso_flag 4);
-      ("flag wait=64", fun _ -> tbtso_flag 64);
-      ("flag wait=Δ", fun d -> tbtso_flag d);
+      ( "flag wait=4",
+        (fun _ -> tbtso_flag 4),
+        [ 106; 110; 62; 62; 62; 62; 62; 62 ],
+        (133, 388),
+        (132, 381) );
+      ( "flag wait=64",
+        (fun _ -> tbtso_flag 64),
+        [ 113; 94; 93; 93; 126; 65; 65; 65 ],
+        (613, 1828),
+        (612, 1761) );
+      ( "flag wait=Δ",
+        tbtso_flag,
+        [ 106; 126; 126; 126; 126; 126; 126; 126 ],
+        (133, 388),
+        (4197, 12072) );
     ]
+
+let test_minor_words_per_state () =
+  (* The explorer allocates deterministically, so its GC pressure per
+     visited state is an exact ceiling, not a timing: 22.9 words (a
+     13.7-word baseline over a 0.6 tolerance; 17.4 measured when this
+     test was written) over SB/MP and the 2- and 3-thread flag at
+     Δ ∈ {4, 100}. *)
+  let corpus =
+    [ (M_sc, sb); (M_tso, sb); (M_tso, mp) ]
+    @ List.concat_map
+        (fun d ->
+          List.map
+            (fun p -> (M_tbtso d, p))
+            [ sb; mp; tbtso_flag d; tbtso_flag3 d ])
+        [ 4; 100 ]
+  in
+  let w0 = Gc.minor_words () in
+  let results = List.map (fun (mode, p) -> explore ~mode p) corpus in
+  let words = Gc.minor_words () -. w0 in
+  check_bool "all complete" true (List.for_all (fun r -> r.complete) results);
+  let states = List.fold_left (fun n r -> n + r.stats.visited) 0 results in
+  let per_state = words /. float_of_int states in
+  check_bool
+    (Printf.sprintf "%.1f minor words per state ≤ 22.9" per_state)
+    true (per_state <= 22.9)
 
 let test_zone_stats_exposed () =
   (* The wait ≈ Δ race exercises both zone rewrites and all three
@@ -1277,6 +1358,7 @@ let () =
           Alcotest.test_case "corpus ≡ reference, every mode" `Quick
             test_corpus_matches_reference;
           Alcotest.test_case "flag states flat in Δ" `Quick test_flag_flat_in_delta;
+          Alcotest.test_case "minor words per state" `Quick test_minor_words_per_state;
           Alcotest.test_case "zone stats exposed" `Quick test_zone_stats_exposed;
           Alcotest.test_case "partial result on budget" `Quick test_explore_budget_partial;
           Alcotest.test_case "arena growth is invisible" `Quick

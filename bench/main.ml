@@ -741,7 +741,7 @@ let ext_prw m =
            done));
     ignore (Machine.run ~max_ticks:(run_ticks - Machine.now machine) machine);
     Machine.request_stop machine;
-    ignore (Machine.run ~max_ticks:(run_ticks + (10 * writer_gap)) machine);
+    ignore (Machine.run ~max_ticks:(10 * writer_gap) machine);
     Machine.kill_remaining machine;
     let reader_fences = ref 0 and reader_rmws = ref 0 in
     for tid = 0 to nreaders - 1 do

@@ -167,7 +167,7 @@ let run p =
          done));
   ignore (Machine.run ~max_ticks:(p.run_ticks - Machine.now machine) machine);
   Machine.request_stop machine;
-  ignore (Machine.run ~max_ticks:(p.run_ticks + (100 * Config.ms 1)) machine);
+  ignore (Machine.run ~max_ticks:(100 * Config.ms 1) machine);
   Machine.kill_remaining machine;
   {
     kind_name = kind_name p.kind;

@@ -56,7 +56,7 @@ let run ?label ?trace ?(nthreads = 4) ?(work_gap = 20) ~config ~run_ticks () =
   Machine.request_stop machine;
   (* Wind-down budget: every thread is within one loop iteration of
      observing the stop flag. *)
-  ignore (Machine.run ~max_ticks:(run_ticks + (16 * (work_gap + 64))) machine);
+  ignore (Machine.run ~max_ticks:(16 * (work_gap + 64)) machine);
   Machine.kill_remaining machine;
   Machine.drain_all machine;
   let threads =

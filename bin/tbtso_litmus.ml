@@ -103,14 +103,14 @@ let max_states_arg =
 
 let json_arg =
   let doc =
-    "Also write the verdicts as JSON (schema tbtso-litmus/4, or tbtso-sat/3 \
+    "Also write the verdicts as JSON (schema tbtso-litmus/5, or tbtso-sat/4 \
      when $(b,--oracle) sat or both adds SAT-oracle fields): one record per \
      (file, mode) pair with holds/complete/outcomes and the full exploration \
      statistics, plus aggregate checker metrics (total states, peak frontier, \
-     zone-canonicalization hits and merges, sleep-set hits split by \
-     independence class, time-leap count, states/second, and the sat.* \
-     solver counters when the SAT oracle ran). PATH '-' writes the JSON to \
-     stdout and suppresses the human-readable report."
+     zone-canonicalization hits and merges, sleep-set skips, time-leap \
+     count, states/second, and the sat.* solver counters when the SAT \
+     oracle ran). PATH '-' writes the JSON to stdout and suppresses the \
+     human-readable report."
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 
@@ -635,7 +635,7 @@ let scenarios_cmd =
          failure; $(b,emit) regenerates litmus/gen/ so the ordinary corpus \
          machinery (check, advise, CI) picks the same programs up.";
       `P
-        "With $(b,--json), results are written as a tbtso-scenario/2 \
+        "With $(b,--json), results are written as a tbtso-scenario/3 \
          document: per scenario and mode the expectation, the oracles' \
          combined reachability answer, pass/fail, and the full per-task \
          check record (explorer stats, SAT stats, oracle agreement).";

@@ -72,7 +72,7 @@ type session = {
 }
 
 let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
-  Litmus.validate ~who:"Axiomatic.session" programs;
+  Litmus.validate ~who:"Axiomatic.session" ~addrs ~regs programs;
   (* The whole formula build is the encode phase; items = clauses
      added. The solver's own propagate / analyze / simplify phases are
      attached through [S.set_profiler] and fill in during queries. *)

@@ -292,8 +292,8 @@ let record v =
 
 let json_doc ~registry verdicts =
   let schema =
-    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/3"
-    else "tbtso-litmus/4"
+    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/4"
+    else "tbtso-litmus/5"
   in
   Json.obj
     [

@@ -127,10 +127,11 @@ val record : verdict -> Tbtso_obs.Json.t
 
 val json_doc : registry:Tbtso_obs.Metrics.t -> verdict list -> Tbtso_obs.Json.t
 (** The result document: schema, per-task records in task order, and
-    the registry snapshot as [totals]. Schema is [tbtso-litmus/4] for
-    explorer-only runs (/4 drops the four counters of a removed
-    second explorer engine from each record's [stats] and from
-    [totals]) and [tbtso-sat/3] (the same drop) when any record
+    the registry snapshot as [totals]. Schema is [tbtso-litmus/5] for
+    explorer-only runs (/5 drops the per-independence-class sleep-skip
+    counters [dd_skips], [di_skips] and [ii_skips] from each record's
+    [stats], and their [litmus.sleep_skips_*] entries from [totals])
+    and [tbtso-sat/4] (the same drop) when any record
     carries SAT-oracle data ([--oracle sat] or [--oracle both]):
     the sat schema extends the litmus record with the ["sat"] object
     and ["oracles_agree"] flag, and [totals] with the [sat.*] counters

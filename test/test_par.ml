@@ -179,8 +179,8 @@ let test_seq_vs_par_json () =
         (Litmus_fanout.exit_code par_verdicts);
       (match seq_doc with
       | Json.Obj fields ->
-          check_bool "explorer runs use schema tbtso-litmus/4" true
-            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-litmus/4"))
+          check_bool "explorer runs use schema tbtso-litmus/5" true
+            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-litmus/5"))
       | _ -> Alcotest.fail "json_doc not an object");
       Alcotest.(check string)
         "JSON byte-identical up to time/pool fields"
@@ -242,8 +242,8 @@ let test_oracle_both_corpus () =
         (Litmus_fanout.exit_code seq_verdicts);
       (match seq_doc with
       | Json.Obj fields ->
-          check_bool "sat runs use schema tbtso-sat/3" true
-            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/3"))
+          check_bool "sat runs use schema tbtso-sat/4" true
+            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/4"))
       | _ -> Alcotest.fail "json_doc not an object");
       (* Each file's modes share one SAT session, so the per-verdict
          sat.stats depend on the order of the file's queries; -j 2 runs

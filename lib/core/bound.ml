@@ -16,6 +16,24 @@ let visible_horizon t ~now =
          before [a]; the global horizon is the minimum over cores. *)
       scan 0 max_int
 
+let visible_steps t ~after ~slot =
+  match t with
+  | Delta d -> [| Sim.Clock (Some (after + d)) |]
+  | Core_array { ncores = 0; _ } ->
+      (* No core to wait for: the horizon is already past. *)
+      [| Sim.Clock (Some min_int) |]
+  | Core_array { base; ncores; stride } ->
+      let past values =
+        let h = ref max_int in
+        for i = slot to slot + ncores - 1 do
+          h := min !h values.(i)
+        done;
+        !h > after
+      in
+      Array.append [| Sim.Clock None |]
+        (Array.init ncores (fun i ->
+             Sim.Load (base + (i * stride), if i = ncores - 1 then Some past else None)))
+
 let wait_visible t ~since =
   match t with
   | Delta d ->

@@ -25,6 +25,14 @@ val visible_horizon : t -> now:int -> int
     "extra work in the slow path"); for [Delta] it is pure arithmetic.
     Must be called from simulated thread code. *)
 
+val visible_steps : t -> after:int -> slot:int -> Tsim.Sim.step array
+(** [visible_steps b ~after ~slot] are {!Tsim.Sim.probe} steps that
+    exit once [visible_horizon b ~now:(clock ()) > after], i.e. once
+    every store issued at or before [after] is visible. For [Delta d]
+    that is one clock read with deadline [after + d]. For [Core_array]
+    it is a clock read, then one load per core into value slots
+    [slot ..], the last exiting once their minimum passes [after]. *)
+
 val wait_visible : t -> since:int -> unit
 (** Block until every store issued at or before [since] is visible: the
     "wait Δ time units" step of the TBTSO flag principle, or the

@@ -40,19 +40,19 @@ let owner_lock t =
   let f1 = Sim.load t.flag1 in
   if raised f1 <> 0 then begin
     Sim.store t.flag0 (encode ~v:0 ~f:0);
-    let rec acquire () =
-      if not (Spinlock.Tas.trylock t.l) then begin
-        if t.echo then begin
+    if t.echo then begin
+      let rec acquire () =
+        if not (Spinlock.Tas.trylock t.l) then begin
           (* Echo: tell the non-owner we are spinning on L so it can
              stop its Δ wait. *)
           let v1 = version (Sim.load t.flag1) in
-          Sim.store t.flag0 (encode ~v:v1 ~f:0)
+          Sim.store t.flag0 (encode ~v:v1 ~f:0);
+          acquire ()
         end
-        else Sim.work 10;
-        acquire ()
-      end
-    in
-    acquire ();
+      in
+      acquire ()
+    end
+    else Spinlock.Tas.trylock_until t.l ~backoff:10;
     t.slow <- t.slow + 1
   end
   else t.fast <- t.fast + 1
@@ -75,26 +75,16 @@ let nonowner_lock t =
   Sim.fence ();
   let now = Sim.clock () in
   (* await (all owner stores issued before [now] visible) or (echo):
-     either way it is then safe to trust what we read in flag0. *)
-  (match t.bound with
-  | Bound.Delta d ->
-      (* The horizon [clock - d] passes [now] once the clock does
-         [now + d]: one timed await. *)
-      let f0 = Sim.await t.flag0 ~until:(fun f0 -> version f0 = v) ~backoff:10 ~deadline:(now + d) in
-      if version f0 = v then t.echo_cuts <- t.echo_cuts + 1
-      else t.full_waits <- t.full_waits + 1
-  | Bound.Core_array _ ->
-      (* Every probe loads each core's entry. *)
-      let rec await_bound () =
-        if version (Sim.load t.flag0) = v then t.echo_cuts <- t.echo_cuts + 1
-        else if Bound.visible_horizon t.bound ~now:(Sim.clock ()) > now then
-          t.full_waits <- t.full_waits + 1
-        else begin
-          Sim.work 10;
-          await_bound ()
-        end
-      in
-      await_bound ());
+     either way it is then safe to trust what we read in flag0. One
+     probe: load flag0 and exit on the echo, then the bound's steps (a
+     clock deadline, or a clock read and each core's entry). *)
+  let echoed values = version values.(0) = v in
+  let steps =
+    Array.append [| Sim.Load (t.flag0, Some echoed) |] (Bound.visible_steps t.bound ~after:now ~slot:1)
+  in
+  let values = Array.make (Array.length steps) 0 in
+  if Sim.probe steps values ~backoff:10 = 0 then t.echo_cuts <- t.echo_cuts + 1
+  else t.full_waits <- t.full_waits + 1;
   (* await flag0.f = 0. *)
   ignore (Sim.await t.flag0 ~until:(fun f0 -> raised f0 = 0) ~backoff:10)
 

@@ -26,5 +26,9 @@ module Tas : sig
 
   val trylock : t -> bool
 
+  val trylock_until : t -> backoff:int -> unit
+  (** [while not (trylock t) do work backoff done], as one
+      {!Tsim.Sim.probe}. *)
+
   val unlock : t -> unit
 end

@@ -17,9 +17,9 @@ val access : t -> line:int -> version:int -> bool
 val invalidate_all : t -> unit
 
 val add_hits : t -> int -> unit
-(** [add_hits t k] counts [k] further hits on a line {!access} just
-    found current, without probing again: the machine's account of
-    spin-wait loads it takes at once. *)
+(** [add_hits t k] counts [k] further hits on lines known to be cached
+    and current, without probing again: the machine's account of the
+    spin-wait accesses it takes at once. *)
 
 val hits : t -> int
 

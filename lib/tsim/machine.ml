@@ -4,20 +4,28 @@ exception Thread_failure of { tid : int; exn : exn }
 
 exception Deadlock of string
 
-(* A Sim.await in progress: its loop's next step. [A_clock] is taken
-   only with a deadline. *)
-type await_step = A_load | A_clock | A_work | A_complete
-
-type await = {
-  aw_addr : int;
-  until : int -> bool;
+(* A Sim.probe in progress. An iteration is [steps] at positions
+   [0 .. n-1] of [pc], then, when [backoff > 0], the work step at [n]
+   and the step at [n + 1] that completes it. *)
+type probe = {
+  steps : Sim.step array;
+  vals : int array;
   backoff : int;
-  deadline : int option;
-  mutable last : int;  (* the latest failed load's value *)
-  mutable step : await_step;
+  first_access : int;  (* index of the first Load or Cas *)
+  last_access : int;  (* index of the last Load or Cas *)
+  period : int;  (* ticks per iteration, or 0 if some step takes none *)
+  exit_by : int;  (* the first tick a clock read could pass a deadline at *)
+  mutable pc : int;
+  mutable slot : int;  (* the next Load's slot in [vals] *)
+  mutable waiting : bool;
+      (* every access of the latest iteration has run and its tests
+         failed; cleared by the next iteration's first access *)
+  mutable epoch : int;  (* Memory.writes at that iteration's first access *)
+  mutable clean : bool;  (* each of that iteration's accesses hit the cache *)
 }
 
 type op =
+  | O_none  (* running host code, finishing, or finished *)
   | O_load of int
   | O_store of int * int
   | O_cas of int * int * int
@@ -31,7 +39,7 @@ type op =
       (* second phase of work/stall: resumes the thread at ready_at, so
          host code following Sim.work runs when the work has elapsed,
          not when it starts *)
-  | O_await of await
+  | O_probe of probe
 
 type thread_stats = {
   loads : int;
@@ -91,7 +99,7 @@ let as_bool v = v <> 0
 
 type thread = {
   tid : int;
-  mutable pending : op option;
+  mutable pending : op;
   mutable stash : stash;
   buf : Store_buffer.t;
   cache : Cache.t;
@@ -122,8 +130,9 @@ type t = {
   mutable quiesce_until : int;  (* Tbtso_hw: system frozen until this tick *)
   mutable quiescence_events : int;
   mutable skip_deadline : int;
-      (* Awaits may skip iterations that load before this tick: the
-         current run's deadline, or [min_int] under a [stop_when]. *)
+      (* Probes may skip iterations whose steps land before this tick:
+         the current run's deadline, or [min_int] under a [stop_when]. *)
+  mutable probe_failed : bool;  (* a probe iteration failed this tick *)
 }
 
 and event =
@@ -151,6 +160,7 @@ let create cfg =
     quiesce_until = 0;
     quiescence_events = 0;
     skip_deadline = min_int;
+    probe_failed = false;
   }
 
 let config t = t.cfg
@@ -260,6 +270,53 @@ let residency t tid =
   done;
   !acc
 
+(* The ticks a probe's step at [pos] takes: the next step runs that
+   many ticks later. *)
+let step_ticks (costs : Config.costs) ~steps ~backoff pos =
+  let n = Array.length steps in
+  if pos = n then backoff
+  else if pos > n then 1
+  else
+    match steps.(pos) with
+    | Sim.Load _ -> costs.load
+    | Sim.Clock _ -> costs.clock_read
+    | Sim.Cas _ -> costs.cas
+
+let iteration_length ~steps ~backoff =
+  if backoff > 0 then Array.length steps + 2 else Array.length steps
+
+let start_probe t steps vals backoff =
+  let first = ref (-1) and last = ref (-1) and exit_by = ref max_int in
+  Array.iteri
+    (fun i s ->
+      match s with
+      | Sim.Load _ | Sim.Cas _ ->
+          if !first < 0 then first := i;
+          last := i
+      | Sim.Clock (Some d) -> if d < !exit_by then exit_by := d + 1
+      | Sim.Clock None -> ())
+    steps;
+  let period = ref 0 and zero = ref false in
+  for pos = 0 to iteration_length ~steps ~backoff - 1 do
+    let d = step_ticks t.cfg.Config.costs ~steps ~backoff pos in
+    if d <= 0 then zero := true;
+    period := !period + d
+  done;
+  {
+    steps;
+    vals;
+    backoff;
+    first_access = !first;
+    last_access = !last;
+    period = (if !zero then 0 else !period);
+    exit_by = !exit_by;
+    pc = 0;
+    slot = 0;
+    waiting = false;
+    epoch = 0;
+    clean = false;
+  }
+
 (* --- Thread startup: run the body under a deep handler that stashes each
    instruction as [pending] together with its continuation. --- *)
 
@@ -272,12 +329,12 @@ let start_thread t (th : thread) (body : unit -> unit) =
           (* Completion takes effect once any trailing work/stall time
              has elapsed, so "Sim.work n" as a thread's last action still
              occupies the thread for n ticks. *)
-          th.pending <- None;
+          th.pending <- O_none;
           th.done_pending <- true);
       exnc =
         (fun e ->
           th.finished <- true;
-          th.pending <- None;
+          th.pending <- O_none;
           th.done_pending <- false;
           t.unfinished <- t.unfinished - 1;
           (match e with
@@ -291,53 +348,52 @@ let start_thread t (th : thread) (body : unit -> unit) =
           | Sim.E_load a ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_load a);
+                  th.pending <- O_load a;
                   th.stash <- Stash (k, as_int))
           | Sim.E_store (a, v) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_store (a, v));
+                  th.pending <- O_store (a, v);
                   th.stash <- Stash (k, as_unit))
           | Sim.E_cas (a, e, d) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_cas (a, e, d));
+                  th.pending <- O_cas (a, e, d);
                   th.stash <- Stash (k, as_bool))
           | Sim.E_faa (a, n) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_faa (a, n));
+                  th.pending <- O_faa (a, n);
                   th.stash <- Stash (k, as_int))
           | Sim.E_xchg (a, v) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_xchg (a, v));
+                  th.pending <- O_xchg (a, v);
                   th.stash <- Stash (k, as_int))
           | Sim.E_fence ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some O_fence;
+                  th.pending <- O_fence;
                   th.stash <- Stash (k, as_unit))
           | Sim.E_clock ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some O_clock;
+                  th.pending <- O_clock;
                   th.stash <- Stash (k, as_int))
           | Sim.E_work n ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_work n);
+                  th.pending <- O_work n;
                   th.stash <- Stash (k, as_unit))
           | Sim.E_stall_until target ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <- Some (O_stall_until target);
+                  th.pending <- O_stall_until target;
                   th.stash <- Stash (k, as_unit))
-          | Sim.E_await (aw_addr, until, backoff, deadline) ->
+          | Sim.E_probe (steps, vals, backoff) ->
               Some
                 (fun (k : (a, unit) continuation) ->
-                  th.pending <-
-                    Some (O_await { aw_addr; until; backoff; deadline; last = 0; step = A_load });
+                  th.pending <- O_probe (start_probe t steps vals backoff);
                   th.stash <- Stash (k, as_int))
           (* Meta-operations: answered immediately, no machine action. *)
           | Sim.E_tid -> Some (fun (k : (a, unit) continuation) -> continue k th.tid)
@@ -360,7 +416,7 @@ let spawn t body =
   let th =
     {
       tid;
-      pending = None;
+      pending = O_none;
       stash = Unstarted;
       buf = Store_buffer.create ();
       cache = Cache.create ~bits:t.cfg.Config.cache_bits;
@@ -497,73 +553,223 @@ let next_interrupt t th period =
   let r = if r < 0 then r + period else r in
   t.clock + (period - r)
 
-(* The await step after a failed iteration's clock read, or after its
-   load when there is no deadline: [work backoff], or the next load. *)
-let after_test w = if w.backoff > 0 then A_work else A_load
+(* Whether the machine may take [p]'s iterations at once, given that
+   no store is buffered. Its latest iteration must have run every
+   access and failed every test, with nothing written to memory since
+   its first access and every access a cache hit: then each later
+   iteration loads the same values and fails the same tests, hits the
+   cache again, and writes nothing (a failed CAS writes nothing). Every
+   step must also take a tick or more, so that each lands on the tick
+   the one before it named. *)
+let parked t p = p.waiting && p.clean && p.period > 0 && p.epoch = Memory.writes t.mem
 
-(* Called after [th]'s await load at [t.clock] failed; the decision is
-   made here, never at the clock read, by which time another thread's
-   store may have reached the awaited word. When no other thread, store
-   buffer, interrupt or clock predicate can act before [limit], every
-   later iteration whose last step lands before [limit] reads the same
-   word of the same unchanged line: the same value, a cache hit, no new
-   reader record. That last step is the load, or with a deadline the
-   clock read [load] ticks after it; [limit] is then also capped at
-   [deadline + 1], so every skipped clock read fails. Take those [k]
-   iterations at once and leave [th] as the k-th of them would: its load
-   (and clock read) done, its work step next. The conditions are those
-   under which a quiet tick changes nothing: no schedule noise (which
-   draws from the RNG), no event hook (which sees every load and clock
-   read), no Tbtso_hw quiescence, and non-zero load and clock-read costs
-   (so that each step lands on the tick [ready_at] names). *)
-let skip_idle t th w =
-  let costs = t.cfg.Config.costs in
+let access_addr p i =
+  match p.steps.(i) with
+  | Sim.Load (a, _) | Sim.Cas { addr = a; _ } -> a
+  | Sim.Clock _ -> -1
+
+(* A freed word must raise at the probe's next access. *)
+let probes_freed t p =
+  let freed = ref false in
+  if t.cfg.Config.detect_uaf then
+    for i = 0 to Array.length p.steps - 1 do
+      let a = access_addr p i in
+      if a >= 0 && Memory.is_poisoned t.mem a then freed := true
+    done;
+  !freed
+
+(* Each probing thread is the last reader its loads record; two probes
+   that share a line would take turns at it. *)
+let share_a_line p q =
+  let shared = ref false in
+  for i = 0 to Array.length p.steps - 1 do
+    let a = access_addr p i in
+    if a >= 0 then
+      for j = 0 to Array.length q.steps - 1 do
+        let b = access_addr q j in
+        if b >= 0 && Memory.line_of a = Memory.line_of b then shared := true
+      done
+  done;
+  !shared
+
+let parked_probe t th =
+  match th.pending with O_probe p when parked t p -> Some p | _ -> None
+
+(* Take [th]'s parked probe through every whole iteration, counted from
+   its next step, whose steps all land before tick [w]; leave it as the
+   last of them would. *)
+let advance_parked t th p ~w =
+  let steps = p.steps and backoff = p.backoff in
+  let len = iteration_length ~steps ~backoff in
+  let next = max th.ready_at (t.clock + 1) in
+  (* The last step of an iteration counted from [next] is the one
+     before [pc]; it lands [before] ticks before the next iteration. *)
+  let before = step_ticks t.cfg.Config.costs ~steps ~backoff ((p.pc + len - 1) mod len) in
+  let room = w - next + before - 1 in
+  if room >= p.period then begin
+    let k = room / p.period in
+    th.ready_at <- next + (k * p.period);
+    Array.iter
+      (function
+        | Sim.Load (a, _) ->
+            th.st.loads <- th.st.loads + k;
+            Cache.add_hits th.cache k;
+            Memory.note_reader t.mem a ~tid:th.tid
+        | Sim.Clock _ -> th.st.clock_reads <- th.st.clock_reads + k
+        | Sim.Cas { addr; _ } ->
+            th.st.rmws <- th.st.rmws + k;
+            Cache.add_hits th.cache k;
+            Memory.note_reader t.mem addr ~tid:th.tid)
+      steps
+  end
+
+(* Called at the end of a tick in which some probe iteration failed.
+   When no store is buffered and every unfinished thread is either
+   parked in its probe or does nothing before some tick W, nothing but
+   the parked probes acts before W, and they only read: take each
+   parked probe's whole iterations that land before W at once. W is
+   the first of: a parked probe's deadline exit, an interrupt on any
+   thread, another thread's next step, and the run's own deadline. The
+   conditions are those under which a quiet tick changes nothing: no
+   schedule noise (which draws from the RNG), no event hook (which
+   sees every step), and no Tbtso_hw quiescence. *)
+let skip_parked t =
   if
-    t.skip_deadline > t.clock
-    && costs.load > 0
-    && (costs.clock_read > 0 || w.deadline = None)
+    t.skip_deadline > t.clock + 1
     && t.cfg.Config.jitter = 0.0
     && (not (tracing t))
     && match t.cfg.Config.consistency with
        | Config.Tbtso_hw _ -> false
        | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ -> true
   then begin
-    let limit = ref t.skip_deadline in
-    for i = 0 to t.nthreads - 1 do
-      let o = t.threads.(i) in
-      if not (Store_buffer.is_empty o.buf) then limit := min_int
+    let w = ref t.skip_deadline and parked_count = ref 0 and i = ref 0 in
+    while !i < t.nthreads && !w > t.clock + 1 do
+      let o = t.threads.(!i) in
+      incr i;
+      if not (Store_buffer.is_empty o.buf) then w := min_int
       else if not o.finished then begin
-        if o != th then limit := min !limit (max o.ready_at t.clock);
-        match t.cfg.Config.interrupt_period with
-        | Some p -> limit := min !limit (next_interrupt t o p)
-        | None -> ()
+        (match t.cfg.Config.interrupt_period with
+        | Some period -> w := min !w (next_interrupt t o period)
+        | None -> ());
+        match o.pending with
+        | O_probe p when parked t p ->
+            incr parked_count;
+            w := min !w p.exit_by
+        | _ -> w := min !w (max o.ready_at (t.clock + 1))
       end
     done;
-    (* An iteration's last step before its backoff lands [read] ticks
-       after its load. *)
-    let read, clock_cost =
-      match w.deadline with
-      | None -> (0, 0)
-      | Some d ->
-          if d < !limit then limit := d + 1;
-          (costs.load, costs.clock_read)
-    in
-    (* Loads land at [first], [first + period], ... *)
-    let tail = if w.backoff > 0 then w.backoff + 1 else 0 in
-    let first = th.ready_at + clock_cost + tail and period = costs.load + clock_cost + tail in
-    (* A lone awaiter with no deadline spins forever either way. *)
-    if !limit < max_int && first + read < !limit then begin
-      let k = ((!limit - 1 - first - read) / period) + 1 in
-      th.ready_at <- first + ((k - 1) * period) + costs.load + clock_cost;
-      th.st.loads <- th.st.loads + k;
-      Cache.add_hits th.cache k;
-      if w.deadline <> None then begin
-        (* The current iteration's clock read and the k skipped ones. *)
-        th.st.clock_reads <- th.st.clock_reads + k + 1;
-        w.step <- after_test w
-      end
+    (* Parked probes with no deadline and nothing else to wait for spin
+       forever either way. *)
+    if !w > t.clock + 1 && !w < max_int then begin
+      let ok = ref true in
+      for i = 0 to t.nthreads - 1 do
+        match parked_probe t t.threads.(i) with
+        | Some p ->
+            if probes_freed t p then ok := false;
+            if !parked_count > 1 then
+              for j = i + 1 to t.nthreads - 1 do
+                match parked_probe t t.threads.(j) with
+                | Some q -> if share_a_line p q then ok := false
+                | None -> ()
+              done
+        | None -> ()
+      done;
+      if !ok then
+        for i = 0 to t.nthreads - 1 do
+          let o = t.threads.(i) in
+          match parked_probe t o with Some p -> advance_parked t o p ~w:!w | None -> ()
+        done
     end
   end
+
+(* The probe's next step after its step at [pc] failed to exit. *)
+let advance_probe t p =
+  if p.pc = p.last_access then begin
+    p.waiting <- true;
+    t.probe_failed <- true
+  end;
+  let n = Array.length p.steps in
+  if p.pc + 1 < n then p.pc <- p.pc + 1
+  else if p.backoff > 0 then p.pc <- n
+  else begin
+    p.pc <- 0;
+    p.slot <- 0
+  end
+
+(* The access at [p.pc] is about to run; the first of an iteration
+   starts its record. *)
+let begin_access t p =
+  if p.pc = p.first_access then begin
+    p.epoch <- Memory.writes t.mem;
+    p.clean <- true;
+    p.waiting <- false
+  end
+
+let exit_probe th p =
+  th.pending <- O_none;
+  resume_thread th p.pc
+
+let exec_probe t th p =
+  let costs = t.cfg.Config.costs and n = Array.length p.steps in
+  if p.pc = n then begin
+    th.ready_at <- t.clock + p.backoff;
+    p.pc <- n + 1;
+    true
+  end
+  else if p.pc > n then begin
+    p.pc <- 0;
+    p.slot <- 0;
+    true
+  end
+  else
+    match p.steps.(p.pc) with
+    | Sim.Load (a, exit_when) ->
+        begin_access t p;
+        let misses = th.st.cache_misses in
+        let v = tso_read t th a ~charge:true in
+        th.st.loads <- th.st.loads + 1;
+        if th.st.cache_misses <> misses then p.clean <- false;
+        if tracing t then emit t th (Ev_load { addr = a; value = v });
+        p.vals.(p.slot) <- v;
+        p.slot <- p.slot + 1;
+        (match exit_when with
+        | None -> advance_probe t p
+        | Some test -> (
+            match test p.vals with
+            | true -> exit_probe th p
+            | false -> advance_probe t p
+            | exception e ->
+                th.pending <- O_none;
+                fail_thread th e));
+        true
+    | Sim.Clock deadline ->
+        th.st.clock_reads <- th.st.clock_reads + 1;
+        th.ready_at <- t.clock + costs.clock_read;
+        if tracing t then emit t th (Ev_clock t.clock);
+        (match deadline with
+        | Some d when t.clock > d -> exit_probe th p
+        | Some _ | None -> advance_probe t p);
+        true
+    | Sim.Cas { addr; expected; desired } ->
+        if not (Store_buffer.is_empty th.buf) then try_drain t th ~respect_ready:false
+        else begin
+          begin_access t p;
+          th.st.rmws <- th.st.rmws + 1;
+          let misses = th.st.cache_misses in
+          let cur = tso_read t th addr ~charge:false in
+          if th.st.cache_misses <> misses then p.clean <- false;
+          th.ready_at <- t.clock + costs.cas;
+          if cur = expected then begin
+            rmw_write t th addr desired;
+            if tracing t then emit t th (Ev_rmw { addr; old_value = cur; new_value = desired });
+            exit_probe th p
+          end
+          else begin
+            if tracing t then emit t th (Ev_rmw { addr; old_value = cur; new_value = cur });
+            advance_probe t p
+          end;
+          true
+        end
 
 (* Try to execute [th]'s pending instruction; returns true if the thread
    made progress this tick (including progress by draining towards a
@@ -571,157 +777,121 @@ let skip_idle t th w =
 let exec t th =
   let costs = t.cfg.Config.costs in
   match th.pending with
-  | None -> false
-  | Some op -> (
-      match op with
-      | O_load a ->
-          let v = tso_read t th a ~charge:true in
-          th.st.loads <- th.st.loads + 1;
-          if tracing t then emit t th (Ev_load { addr = a; value = v });
-          th.pending <- None;
-          resume_thread th v;
-          true
-      | O_store (a, v) when
-          (match t.cfg.Config.consistency with
-          | Config.Tso_spatial s -> Store_buffer.length th.buf >= s
-          | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tbtso_hw _ -> false) ->
-          (* TSO[S]: the buffer is full; the oldest entry must drain
-             before this store can issue. *)
-          ignore (a, v);
-          try_drain t th ~respect_ready:false
-      | O_store (a, v) ->
-          th.st.stores <- th.st.stores + 1;
-          check_poison t th a ~write:true;
-          (match t.cfg.Config.consistency with
-          | Config.Sc ->
-              Memory.write t.mem ~tid:th.tid ~at:t.clock a v;
-              ignore
-                (Cache.access th.cache ~line:(Memory.line_of a)
-                   ~version:(Memory.line_version t.mem a))
-          | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ ->
-              let d = drain_delay t th in
-              Store_buffer.enqueue th.buf
-                {
-                  addr = a;
-                  value = v;
-                  enqueued_at = t.clock;
-                  ready_at = t.clock + d;
-                  rfo_until = 0;
-                });
-          th.ready_at <- t.clock + costs.store;
-          if tracing t then emit t th (Ev_store { addr = a; value = v });
-          th.pending <- None;
-          resume_thread th 0;
-          true
-      | O_fence ->
-          if Store_buffer.is_empty th.buf then begin
-            th.st.fences <- th.st.fences + 1;
-            th.ready_at <- t.clock + costs.fence;
-            emit t th Ev_fence;
-            th.pending <- None;
-            resume_thread th 0;
-            true
-          end
-          else
-            (* The memory subsystem must first empty the buffer; drains
-               may in turn wait on line-ownership upgrades. *)
-            try_drain t th ~respect_ready:false
-      | O_cas _ | O_faa _ | O_xchg _ ->
-          if not (Store_buffer.is_empty th.buf) then
-            try_drain t th ~respect_ready:false
-          else begin
-            th.st.rmws <- th.st.rmws + 1;
-            let result =
-              match op with
-              | O_cas (a, expected, desired) ->
-                  let cur = tso_read t th a ~charge:false in
-                  if cur = expected then begin
-                    rmw_write t th a desired;
-                    if tracing t then
-                      emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
-                    1
-                  end
-                  else begin
-                    if tracing t then
-                      emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
-                    0
-                  end
-              | O_faa (a, n) ->
-                  let cur = tso_read t th a ~charge:false in
-                  rmw_write t th a (cur + n);
-                  if tracing t then
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
-                  cur
-              | O_xchg (a, v) ->
-                  let cur = tso_read t th a ~charge:false in
-                  rmw_write t th a v;
-                  if tracing t then
-                    emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
-                  cur
-              | O_load _ | O_store _ | O_fence | O_clock | O_work _ | O_stall_until _
-              | O_complete | O_await _ ->
-                  assert false
-            in
-            th.ready_at <- t.clock + costs.cas;
-            th.pending <- None;
-            resume_thread th result;
-            true
-          end
-      | O_clock ->
-          th.st.clock_reads <- th.st.clock_reads + 1;
-          th.ready_at <- t.clock + costs.clock_read;
-          if tracing t then emit t th (Ev_clock t.clock);
-          th.pending <- None;
-          resume_thread th t.clock;
-          true
-      | O_work n ->
-          th.ready_at <- t.clock + n;
-          th.pending <- Some O_complete;
-          true
-      | O_stall_until target ->
-          let target = if target < 0 then t.clock - target else target in
-          th.ready_at <- max th.ready_at target;
-          th.pending <- Some O_complete;
-          true
-      | O_complete ->
-          th.pending <- None;
-          resume_thread th 0;
-          true
-      | O_await w -> (
-          match w.step with
-          | A_load ->
-              let v = tso_read t th w.aw_addr ~charge:true in
-              th.st.loads <- th.st.loads + 1;
-              if tracing t then emit t th (Ev_load { addr = w.aw_addr; value = v });
-              (match w.until v with
-              | true ->
-                  th.pending <- None;
-                  resume_thread th v
-              | false ->
-                  w.last <- v;
-                  w.step <- (match w.deadline with Some _ -> A_clock | None -> after_test w);
-                  skip_idle t th w
-              | exception e ->
-                  th.pending <- None;
-                  fail_thread th e);
-              true
-          | A_clock ->
-              th.st.clock_reads <- th.st.clock_reads + 1;
-              th.ready_at <- t.clock + costs.clock_read;
-              if tracing t then emit t th (Ev_clock t.clock);
-              (match w.deadline with
-              | Some d when t.clock > d ->
-                  th.pending <- None;
-                  resume_thread th w.last
-              | Some _ | None -> w.step <- after_test w);
-              true
-          | A_work ->
-              th.ready_at <- t.clock + w.backoff;
-              w.step <- A_complete;
-              true
-          | A_complete ->
-              w.step <- A_load;
-              true))
+  | O_none -> false
+  | O_load a ->
+      let v = tso_read t th a ~charge:true in
+      th.st.loads <- th.st.loads + 1;
+      if tracing t then emit t th (Ev_load { addr = a; value = v });
+      th.pending <- O_none;
+      resume_thread th v;
+      true
+  | O_store (a, v) when
+      (match t.cfg.Config.consistency with
+      | Config.Tso_spatial s -> Store_buffer.length th.buf >= s
+      | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tbtso_hw _ -> false) ->
+      (* TSO[S]: the buffer is full; the oldest entry must drain
+         before this store can issue. *)
+      ignore (a, v);
+      try_drain t th ~respect_ready:false
+  | O_store (a, v) ->
+      th.st.stores <- th.st.stores + 1;
+      check_poison t th a ~write:true;
+      (match t.cfg.Config.consistency with
+      | Config.Sc ->
+          Memory.write t.mem ~tid:th.tid ~at:t.clock a v;
+          ignore
+            (Cache.access th.cache ~line:(Memory.line_of a)
+               ~version:(Memory.line_version t.mem a))
+      | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ ->
+          let d = drain_delay t th in
+          Store_buffer.enqueue th.buf
+            {
+              addr = a;
+              value = v;
+              enqueued_at = t.clock;
+              ready_at = t.clock + d;
+              rfo_until = 0;
+            });
+      th.ready_at <- t.clock + costs.store;
+      if tracing t then emit t th (Ev_store { addr = a; value = v });
+      th.pending <- O_none;
+      resume_thread th 0;
+      true
+  | O_fence ->
+      if Store_buffer.is_empty th.buf then begin
+        th.st.fences <- th.st.fences + 1;
+        th.ready_at <- t.clock + costs.fence;
+        emit t th Ev_fence;
+        th.pending <- O_none;
+        resume_thread th 0;
+        true
+      end
+      else
+        (* The memory subsystem must first empty the buffer; drains
+           may in turn wait on line-ownership upgrades. *)
+        try_drain t th ~respect_ready:false
+  | (O_cas _ | O_faa _ | O_xchg _) as op ->
+      if not (Store_buffer.is_empty th.buf) then
+        try_drain t th ~respect_ready:false
+      else begin
+        th.st.rmws <- th.st.rmws + 1;
+        let result =
+          match op with
+          | O_cas (a, expected, desired) ->
+              let cur = tso_read t th a ~charge:false in
+              if cur = expected then begin
+                rmw_write t th a desired;
+                if tracing t then
+                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
+                1
+              end
+              else begin
+                if tracing t then
+                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
+                0
+              end
+          | O_faa (a, n) ->
+              let cur = tso_read t th a ~charge:false in
+              rmw_write t th a (cur + n);
+              if tracing t then
+                emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
+              cur
+          | O_xchg (a, v) ->
+              let cur = tso_read t th a ~charge:false in
+              rmw_write t th a v;
+              if tracing t then
+                emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
+              cur
+          | O_none | O_load _ | O_store _ | O_fence | O_clock | O_work _
+          | O_stall_until _ | O_complete | O_probe _ ->
+              assert false
+        in
+        th.ready_at <- t.clock + costs.cas;
+        th.pending <- O_none;
+        resume_thread th result;
+        true
+      end
+  | O_clock ->
+      th.st.clock_reads <- th.st.clock_reads + 1;
+      th.ready_at <- t.clock + costs.clock_read;
+      if tracing t then emit t th (Ev_clock t.clock);
+      th.pending <- O_none;
+      resume_thread th t.clock;
+      true
+  | O_work n ->
+      th.ready_at <- t.clock + n;
+      th.pending <- O_complete;
+      true
+  | O_stall_until target ->
+      let target = if target < 0 then t.clock - target else target in
+      th.ready_at <- max th.ready_at target;
+      th.pending <- O_complete;
+      true
+  | O_complete ->
+      th.pending <- O_none;
+      resume_thread th 0;
+      true
+  | O_probe p -> exec_probe t th p
 
 let interrupt t th =
   (* A kernel entry drains the store buffer (Section 6.2). *)
@@ -771,22 +941,22 @@ let describe_stuck t =
         (Printf.sprintf " [tid %d ready_at %d buffered %d pending %s]" th.tid th.ready_at
            (Store_buffer.length th.buf)
            (match th.pending with
-           | None -> "none"
-           | Some (O_load _) -> "load"
-           | Some (O_store _) -> "store"
-           | Some (O_cas _) -> "cas"
-           | Some (O_faa _) -> "faa"
-           | Some (O_xchg _) -> "xchg"
-           | Some O_fence -> "fence"
-           | Some O_clock -> "clock"
-           | Some (O_work _) -> "work"
-           | Some (O_stall_until _) -> "stall"
-           | Some O_complete -> "complete"
-           | Some (O_await _) -> "await"))
+           | O_none -> "none"
+           | O_load _ -> "load"
+           | O_store _ -> "store"
+           | O_cas _ -> "cas"
+           | O_faa _ -> "faa"
+           | O_xchg _ -> "xchg"
+           | O_fence -> "fence"
+           | O_clock -> "clock"
+           | O_work _ -> "work"
+           | O_stall_until _ -> "stall"
+           | O_complete -> "complete"
+           | O_probe _ -> "probe"))
   done;
   Buffer.contents b
 
-let tick ?(deadline = max_int) t =
+let tick t ~deadline =
   t.clock <- t.clock + 1;
   let acted = ref false in
   (* Phase 1: timer interrupts. *)
@@ -809,16 +979,13 @@ let tick ?(deadline = max_int) t =
   | Config.Tbtso delta ->
       for i = 0 to t.nthreads - 1 do
         let th = t.threads.(i) in
-        let rec force () =
+        while
           let e = Store_buffer.oldest th.buf in
-          if e != Store_buffer.sentinel && e.enqueued_at + delta <= t.clock
-          then begin
-            drain_one t th ~kind:D_delta;
-            acted := true;
-            force ()
-          end
-        in
-        force ()
+          e != Store_buffer.sentinel && e.enqueued_at + delta <= t.clock
+        do
+          drain_one t th ~kind:D_delta;
+          acted := true
+        done
       done
   | Config.Tbtso_hw { tau; quiesce } ->
       (* The Section 6.1 bail-out: if any store has been buffered past
@@ -882,6 +1049,10 @@ let tick ?(deadline = max_int) t =
         acted := true
       else if exec t th then acted := true
   done;
+  if t.probe_failed then begin
+    t.probe_failed <- false;
+    skip_parked t
+  end;
   if not !acted then begin
     let next = next_event_time t in
     if next = max_int then raise (Deadlock (describe_stuck t))
@@ -951,7 +1122,7 @@ let kill_remaining t =
         t.unfinished <- t.unfinished - 1
       end
       else begin
-        th.pending <- None;
+        th.pending <- O_none;
         (* Discontinue the stashed continuation: Sim.Killed unwinds the
            thread body and is absorbed by the handler's exnc. *)
         (match th.stash with

@@ -111,21 +111,28 @@ val run : ?max_ticks:int -> ?stop_when:(t -> bool) -> t -> stop_reason
     predicate such as [now m >= n] can fire past tick [n]. Bound a
     benchmark's measured phase with
     [run ~max_ticks:(run_ticks - now m) m] instead: the stop is exact,
-    and awaits can skip (below), which a [stop_when] forbids.
+    and probes can skip (below), which a [stop_when] forbids.
 
-    A {!Sim.await} whose load fails may take its later iterations at
-    once. The decision is made at the failed load's tick, never at a
-    later step. It holds when the run has no [stop_when], no event hook
-    is set, [jitter] is 0, the mode is not [Tbtso_hw], and the [load]
-    cost (with a deadline, also [clock_read]) is non-zero. The machine
-    then takes every later iteration whose last step lands before the
-    first of: another thread's next step, an interrupt on any thread,
-    the run's own deadline, and, with a deadline, [deadline + 1]. An
-    iteration's last step is its load, or with a deadline its clock
-    read, [load] ticks after it, so every skipped clock read fails. No
-    iteration is skipped while any store is buffered. Results, clock and
-    statistics (clock reads included) are those of stepping each
-    iteration; only [until]'s call count differs.
+    {b Skipping parked probes.} A {!Sim.probe} (and so a {!Sim.await})
+    is {i parked} when its latest iteration ran every access and failed
+    every test, nothing has been written to memory since that
+    iteration's first access, every access of it hit the cache, and
+    every step of an iteration takes a tick or more. Each later
+    iteration then loads the same values, fails the same tests, hits
+    the cache again and writes nothing: a failed CAS writes nothing.
+    At the end of a tick in which some probe iteration failed, when no
+    store is buffered anywhere and every unfinished thread is either
+    parked or does nothing before some tick W, the machine takes each
+    parked probe's whole iterations whose steps land before W at once,
+    without calling its tests. W is the first of: a parked probe's
+    deadline exit ([deadline + 1], so every skipped clock read fails),
+    an interrupt on any thread, another thread's next step, and the
+    run's own deadline. It does so only when the run has no
+    [stop_when], no event hook is set, [jitter] is 0, the mode is not
+    [Tbtso_hw], no probed word has been freed, and no two parked probes
+    touch a common line (each probe's loads would take turns at being
+    the line's last reader). Results, clock and statistics are those
+    of stepping each iteration; only the tests' call counts differ.
     @raise Thread_failure if a thread body raises.
     @raise Memory.Use_after_free on a detected access to freed memory.
     @raise Deadlock if no progress is possible. *)

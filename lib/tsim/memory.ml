@@ -40,6 +40,7 @@ type t = {
   pages : page array;
   mutable resident : int;  (* pages backed so far *)
   mutable bump : int;  (* global-arena allocation pointer *)
+  mutable writes : int;
 }
 
 let line_of addr = addr lsr line_shift
@@ -52,6 +53,7 @@ let create ~words =
     resident = 0;
     (* Word 0 is reserved so that 0 can serve as a null pointer. *)
     bump = 1 lsl line_shift;
+    writes = 0;
   }
 
 let words t = t.words
@@ -86,11 +88,14 @@ let read t addr = Array.unsafe_get (page t addr).data (offset addr)
 
 let write t ~tid ~at:_ addr v =
   let p = backed t addr in
+  t.writes <- t.writes + 1;
   let l = line_in_page addr in
   Array.unsafe_set p.data (offset addr) v;
   Array.unsafe_set p.version l (Array.unsafe_get p.version l + 1);
   Array.unsafe_set p.owner l tid;
   Array.unsafe_set p.reader l (-1)
+
+let writes t = t.writes
 
 let line_version t addr = Array.unsafe_get (page t addr).version (line_in_page addr)
 

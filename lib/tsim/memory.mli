@@ -56,6 +56,9 @@ val write : t -> tid:int -> at:int -> int -> int -> unit
     [tid] at time [at] and bumping the line version (which invalidates
     other threads' cached copies in the cost model). *)
 
+val writes : t -> int
+(** Number of {!write}s so far: unchanged means no word has changed. *)
+
 val line_of : int -> int
 
 val line_version : t -> int -> int

@@ -1,23 +1,34 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes, so that a draw reads and writes it
+   unboxed rather than allocating a fresh [int64] each time. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let copy t = { state = t.state }
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
+
+let copy = Bytes.copy
 
 (* SplitMix64, Steele et al. "Fast splittable pseudorandom number
    generators" (OOPSLA 2014). *)
 let golden = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next t =
+  let z = Int64.add (get64 t 0) golden in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = create (next_int64 t)
+let next_int64 t = next t
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let split t = create (next t)
+
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -27,16 +38,20 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
-  (* 53 random bits mapped to [0, 1). *)
-  let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  x *. (1.0 /. 9007199254740992.0)
+(* 53 random bits mapped to [0, 1). *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let float t = unit_float t
+
+let bool t = Int64.logand (next t) 1L = 1L
 
 let geometric t ~p ~cap =
   if p >= 1.0 then 0
   else begin
-    let rec go n = if n >= cap || float t < p then n else go (n + 1) in
-    go 0
+    let n = ref 0 in
+    while !n < cap && not (unit_float t < p) do
+      incr n
+    done;
+    !n
   end

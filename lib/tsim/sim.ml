@@ -1,3 +1,8 @@
+type step =
+  | Load of int * (int array -> bool) option
+  | Clock of int option
+  | Cas of { addr : int; expected : int; desired : int }
+
 type _ Effect.t +=
   | E_load : int -> int Effect.t
   | E_store : (int * int) -> unit Effect.t
@@ -11,7 +16,7 @@ type _ Effect.t +=
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
-  | E_await : int * (int -> bool) * int * int option -> int Effect.t
+  | E_probe : step array * int array * int -> int Effect.t
 
 exception Killed
 
@@ -43,6 +48,21 @@ let stopping () = Effect.perform E_stopping
 
 let label s = Effect.perform (E_label s)
 
-let await ?deadline a ~until ~backoff = Effect.perform (E_await (a, until, backoff, deadline))
+let probe steps values ~backoff =
+  let loads = ref 0 and cas = ref false in
+  for i = 0 to Array.length steps - 1 do
+    match steps.(i) with Load _ -> incr loads | Clock _ -> () | Cas _ -> cas := true
+  done;
+  if (!loads = 0 && not !cas) || (!cas && Array.length steps > 1) then
+    invalid_arg "Sim.probe: steps must be loads and clock reads, or one Cas";
+  if Array.length values < !loads then invalid_arg "Sim.probe: one value slot per load";
+  Effect.perform (E_probe (steps, values, backoff))
+
+let await ?deadline a ~until ~backoff =
+  let values = [| 0 |] in
+  let load = Load (a, Some (fun vs -> until (Array.unsafe_get vs 0))) in
+  let steps = match deadline with None -> [| load |] | Some d -> [| load; Clock (Some d) |] in
+  ignore (Effect.perform (E_probe (steps, values, backoff)));
+  values.(0)
 
 let rec spin_while cond = if cond () then spin_while cond

@@ -14,6 +14,20 @@
     All functions must be called from inside a thread run by {!Machine};
     calling them elsewhere raises [Effect.Unhandled]. *)
 
+(** One step of a {!probe}'s iteration. *)
+type step =
+  | Load of int * (int array -> bool) option
+      (** [Load (a, exit_when)] loads [a] (forwarding as {!load}) into
+          the next value slot. With [Some test], the probe exits when
+          [test values] holds; a test reads only the slots this
+          iteration has loaded so far. *)
+  | Clock of int option
+      (** Reads the clock (as {!clock}). With [Some deadline], the probe
+          exits when the clock is past [deadline]. *)
+  | Cas of { addr : int; expected : int; desired : int }
+      (** A {!cas}; the probe exits when it succeeds. A [Cas] is a
+          probe's only step. *)
+
 type _ Effect.t +=
   | E_load : int -> int Effect.t
   | E_store : (int * int) -> unit Effect.t
@@ -27,7 +41,7 @@ type _ Effect.t +=
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
-  | E_await : int * (int -> bool) * int * int option -> int Effect.t
+  | E_probe : step array * int array * int -> int Effect.t
 
 exception Killed
 (** Used by the machine to unwind threads abandoned at the end of a
@@ -80,8 +94,34 @@ val stopping : unit -> bool
 val label : string -> unit
 (** Emit a trace label (zero cost; no-op unless tracing is enabled). *)
 
+val probe : step array -> int array -> backoff:int -> int
+(** [probe steps values ~backoff] is the spin-wait
+
+    {[
+      let rec go () =
+        (* each step in order, as described at {!step}; the i-th Load
+           writes values.(i) and exits when its test holds *)
+        ...;
+        work backoff;
+        go ()
+    ]}
+
+    run by the machine as one instruction: the thread is not resumed
+    between steps, and every load, clock read, CAS, tick and statistic
+    is the one the loop above would produce. Returns the index in
+    [steps] of the step that exited. [values] needs one slot per
+    [Load]; on return [values.(i)] is the i-th load's latest value. A
+    [backoff <= 0] starts the next iteration at once, as [work 0] is a
+    no-op. Tests must be pure: each is called once per executed load,
+    and when nothing else in the machine can act before a later
+    iteration could differ, the machine takes those iterations at once
+    without calling them (see {!Machine.run}).
+    @raise Invalid_argument if [steps] has no [Load] or [Cas], holds a
+    [Cas] beside other steps, or has more loads than [values] has
+    slots. *)
+
 val await : ?deadline:int -> int -> until:(int -> bool) -> backoff:int -> int
-(** [await ?deadline a ~until ~backoff] is the spin-wait
+(** [await ?deadline a ~until ~backoff] is the one-load {!probe}
 
     {[
       let rec go () =
@@ -91,16 +131,10 @@ val await : ?deadline:int -> int -> until:(int -> bool) -> backoff:int -> int
         else (work backoff; go ())
     ]}
 
-    run by the machine as one instruction: the thread is not resumed
-    between iterations, and every load, clock read, tick and statistic
-    is the one the loop above would produce. Without [~deadline] there
-    is no clock read. A [backoff <= 0] loads back to back, as [work 0]
-    is a no-op. [until] must be pure: it is called once per executed
-    load, and when nothing else in the machine can act before a later
-    iteration could differ, the machine takes those iterations at once
-    without calling it (see {!Machine.run}). Returns the value that
-    satisfied [until], or on the deadline exit the value that failed it:
-    the caller re-tests [until] to tell the two exits apart. *)
+    [[| Load (a, until); Clock deadline |]], the clock step only with
+    [~deadline]. Returns the value that satisfied [until], or on the
+    deadline exit the value that failed it: the caller re-tests
+    [until] to tell the two exits apart. *)
 
 val spin_while : (unit -> bool) -> unit
 (** Re-evaluate the condition until it turns false. Each probe costs

@@ -59,13 +59,16 @@ let dequeue_oldest t =
 let newest_for t addr =
   (* Scan from newest to oldest; first hit is the forwarding entry. *)
   let cap = Array.length t.slots in
-  let rec go i =
-    if i < 0 then sentinel
-    else
-      let e = t.slots.((t.head + i) mod cap) in
-      if e.addr = addr then e else go (i - 1)
-  in
-  go (t.len - 1)
+  let i = ref (t.len - 1) and found = ref sentinel in
+  while !i >= 0 do
+    let e = t.slots.((t.head + !i) mod cap) in
+    if e.addr = addr then begin
+      found := e;
+      i := -1
+    end
+    else decr i
+  done;
+  !found
 
 let newest_value t addr =
   let e = newest_for t addr in

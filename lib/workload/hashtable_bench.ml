@@ -159,12 +159,10 @@ let run p =
   post_spawn ();
   ignore (Machine.run ~max_ticks:(p.run_ticks - Machine.now machine) machine);
   Machine.request_stop machine;
-  (* Grace: let loops observe the stop flag; covers the stall duration
-     and the RCU reclaimer period (clock jumps keep this cheap). *)
-  let grace =
-    p.run_ticks + (match p.stall with Some s -> s.at + s.duration | None -> 0)
-    + 200_000_000
-  in
+  (* Grace, counted from the stop: let loops observe the stop flag;
+     covers the stall duration and the RCU reclaimer period (clock jumps
+     keep this cheap). *)
+  let grace = (match p.stall with Some s -> s.at + s.duration | None -> 0) + 200_000_000 in
   ignore (Machine.run ~max_ticks:grace machine);
   Machine.kill_remaining machine;
   let sum_range lo hi f =

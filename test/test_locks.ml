@@ -363,10 +363,13 @@ let test_ffbl_same_scenario_safe_under_tbtso () =
   check_int "no overlap under TBTSO" 0 (ffbl_tso_scenario cfg ~bound_delta:500)
 
 (* ------------------------------------------------------------------ *)
-(* FFBL's Δ wait as one Sim.await vs the loop it replaced              *)
+(* FFBL's waits as one Sim.probe vs the loops they replaced            *)
 (* ------------------------------------------------------------------ *)
 
-(* Ffbl as it was with the Δ wait as an explicit load/clock/work loop. *)
+(* Ffbl as it was with its bound wait and its no-echo slow path as
+   explicit loops: load flag0, read the clock, compute the horizon
+   (under Core_array, one load per core), work 10; and trylock, work
+   10. *)
 module Loop_ffbl = struct
   let encode ~v ~f = (v lsl 1) lor f
   let version x = x lsr 1
@@ -376,18 +379,18 @@ module Loop_ffbl = struct
     flag0 : int;
     flag1 : int;
     l : Spinlock.Tas.t;
-    delta : int;
+    bound : Bound.t;
     echo : bool;
     mutable echo_cuts : int;
     mutable full_waits : int;
   }
 
-  let create machine ~delta ~echo =
+  let create machine ~bound ~echo =
     {
       flag0 = Machine.alloc_global machine 8;
       flag1 = Machine.alloc_global machine 8;
       l = Spinlock.Tas.create machine;
-      delta;
+      bound;
       echo;
       echo_cuts = 0;
       full_waits = 0;
@@ -422,7 +425,7 @@ module Loop_ffbl = struct
     let now = Sim.clock () in
     let rec await_bound () =
       if version (Sim.load t.flag0) = v then t.echo_cuts <- t.echo_cuts + 1
-      else if Bound.visible_horizon (Bound.Delta t.delta) ~now:(Sim.clock ()) > now then
+      else if Bound.visible_horizon t.bound ~now:(Sim.clock ()) > now then
         t.full_waits <- t.full_waits + 1
       else begin
         Sim.work 10;
@@ -438,13 +441,22 @@ module Loop_ffbl = struct
     Spinlock.Tas.unlock t.l
 end
 
+(* The two bounds, built on a machine whose config has interrupts. *)
+type bound_kind = B_delta | B_core_array
+
+let bound_name = function B_delta -> "delta" | B_core_array -> "core array"
+
+let make_bound m = function
+  | B_delta -> Bound.Delta delta
+  | B_core_array -> Tbtso_hwmodel.Os_adapt.bound (Tbtso_hwmodel.Os_adapt.install m ~ncores:2)
+
 (* A lock's operations and its (echo cuts, full waits) counters. *)
-let ffbl_impl machine ~echo =
-  let l, ops = ffbl_ops ~echo () machine in
+let ffbl_impl machine ~bound ~echo =
+  let l, ops = ffbl_ops ~echo ~bound () machine in
   (ops, fun () -> (Ffbl.nonowner_echo_cuts l, Ffbl.nonowner_full_waits l))
 
-let loop_ffbl_impl machine ~echo =
-  let l = Loop_ffbl.create machine ~delta ~echo in
+let loop_ffbl_impl machine ~bound ~echo =
+  let l = Loop_ffbl.create machine ~bound ~echo in
   ( {
       olock = (fun () -> Loop_ffbl.owner_lock l);
       ounlock = (fun () -> Loop_ffbl.owner_unlock l);
@@ -456,7 +468,9 @@ let loop_ffbl_impl machine ~echo =
 (* What the owner does while the non-owner takes the lock 12 times with
    varying gaps: sits in one long work after a single acquisition, keeps
    acquiring (so it meets the non-owner's raised flag and takes the slow
-   path), or stalls inside its critical section with its flag raised. *)
+   path), or stalls inside its critical section with its flag raised.
+   It stays alive until the non-owner is done: a finished core takes no
+   interrupts, and the Core_array bound waits for one on every core. *)
 type owner = Owner_idle | Owner_spinning | Owner_stalled
 
 let owner_name = function
@@ -464,9 +478,9 @@ let owner_name = function
   | Owner_spinning -> "spinning owner"
   | Owner_stalled -> "stalled owner"
 
-let ffbl_wait_run make cfg ~echo owner =
+let ffbl_wait_run make cfg ~bound ~echo owner =
   let m = Machine.create cfg in
-  let l, waits = make m ~echo in
+  let l, waits = make m ~bound:(make_bound m bound) ~echo in
   let nonowner_done = ref false and acquired = ref [] in
   ignore
     (Machine.spawn m (fun () ->
@@ -475,7 +489,9 @@ let ffbl_wait_run make cfg ~echo owner =
              l.olock ();
              Sim.work 10;
              l.ounlock ();
-             Sim.work (40 * delta)
+             while not !nonowner_done do
+               Sim.work (40 * delta)
+             done
          | Owner_spinning ->
              while not !nonowner_done do
                l.olock ();
@@ -488,6 +504,9 @@ let ffbl_wait_run make cfg ~echo owner =
                l.olock ();
                Sim.stall_for (3 * delta);
                l.ounlock ();
+               Sim.work 2_000
+             done;
+             while not !nonowner_done do
                Sim.work 2_000
              done));
   ignore
@@ -517,26 +536,36 @@ let ffbl_wait_run make cfg ~echo owner =
     ("clock", string_of_int (Machine.now m));
   ]
 
-(* Ffbl.nonowner_lock's timed Sim.await takes the loop's every load,
-   clock read and tick, on a quiet machine (where awaits skip) and a
-   noisy one (jitter, adversarial drains). *)
+(* Ffbl's probes take the loops' every load, clock read, CAS and tick,
+   under both bounds, on a quiet machine (where probes skip) and a
+   noisy one (jitter, adversarial drains), with interrupts on. *)
 let test_ffbl_delta_wait_equals_loop () =
-  let quiet = Config.(with_consistency (Tbtso delta) default) in
+  let interrupts cfg = { cfg with Config.interrupt_period = Some 7_919 } in
+  let quiet = interrupts Config.(with_consistency (Tbtso delta) default) in
+  let cases = ref 0 in
   List.iter
     (fun (cfg_name, cfg) ->
       List.iter
-        (fun echo ->
+        (fun bound ->
           List.iter
-            (fun owner ->
-              let name = Printf.sprintf "%s echo %b %s" cfg_name echo (owner_name owner) in
-              let expected = ffbl_wait_run loop_ffbl_impl cfg ~echo owner in
-              let got = ffbl_wait_run ffbl_impl cfg ~echo owner in
-              List.iter2
-                (fun (label, e) (_, g) -> Alcotest.(check string) (name ^ ": " ^ label) e g)
-                expected got)
-            [ Owner_idle; Owner_spinning; Owner_stalled ])
-        [ true; false ])
-    [ ("quiet", quiet); ("noisy", tbtso_cfg 3) ]
+            (fun echo ->
+              List.iter
+                (fun owner ->
+                  let name =
+                    Printf.sprintf "%s %s echo %b %s" cfg_name (bound_name bound) echo
+                      (owner_name owner)
+                  in
+                  let expected = ffbl_wait_run loop_ffbl_impl cfg ~bound ~echo owner in
+                  let got = ffbl_wait_run ffbl_impl cfg ~bound ~echo owner in
+                  List.iter2
+                    (fun (label, e) (_, g) -> Alcotest.(check string) (name ^ ": " ^ label) e g)
+                    expected got;
+                  incr cases)
+                [ Owner_idle; Owner_spinning; Owner_stalled ])
+            [ true; false ])
+        [ B_delta; B_core_array ])
+    [ ("quiet", quiet); ("noisy", interrupts (tbtso_cfg 3)) ];
+  check_int "grid size" (2 * 2 * 2 * 3) !cases
 
 let () =
   Alcotest.run "locks"

@@ -495,13 +495,24 @@ let tab_retire m =
     /. (float_of_int run_ticks /. float_of_int (Config.ms 1))
   in
   pf "measured retirement rate: %.0f nodes/ms per updater thread\n" per_thread_per_ms;
-  List.iter
-    (fun delta_ms ->
-      let needed = 2.0 *. per_thread_per_ms *. float_of_int delta_ms in
-      pf "Delta=%2d ms -> R = rate x Delta x 2 = %8.0f nodes (%.2f MB at 64B/node)\n"
-        delta_ms needed
-        (needed *. 64.0 /. 1_048_576.0))
-    [ 1; 4; 10 ];
+  let rows =
+    List.map
+      (fun delta_ms ->
+        let needed = 2.0 *. per_thread_per_ms *. float_of_int delta_ms in
+        pf "Delta=%2d ms -> R = rate x Delta x 2 = %8.0f nodes (%.2f MB at 64B/node)\n"
+          delta_ms needed
+          (needed *. 64.0 /. 1_048_576.0);
+        [
+          string_of_int delta_ms;
+          Printf.sprintf "%.3f" per_thread_per_ms;
+          Printf.sprintf "%.0f" needed;
+          Printf.sprintf "%.4f" (needed *. 64.0 /. 1_048_576.0);
+        ])
+      [ 1; 4; 10 ]
+  in
+  maybe_csv m ~name:"tab_retire"
+    ~header:[ "delta_ms"; "retires_per_thread_ms"; "r_nodes"; "r_mb" ]
+    rows;
   pf
     "(paper: 1300 nodes/ms/thread; R = 1300 x 10 x 2 = 26000 ~ 2 MB; guarantees a\n\
      reclaim() frees >= R/2 nodes.)\n"
@@ -510,12 +521,16 @@ let tab_quiesce m =
   header "Section 6.1.2 table: worst-case quiescence and Delta extrapolation";
   let q = Quiesce.create ~seed:(Int64.of_int m.seed) () in
   pf "%-10s %24s %20s\n" "threads P" "worst-case quiesce (us)" "Delta estimate (us)";
-  List.iter
-    (fun p ->
-      pf "%-10d %24.0f %20.0f\n" p
-        (Quiesce.worst_case_quiescence_ns q ~threads:p /. 1_000.0)
-        (Quiesce.estimate_delta_us q ~threads:p))
-    [ 10; 20; 40; 80 ];
+  let rows =
+    List.map
+      (fun p ->
+        let worst = Quiesce.worst_case_quiescence_ns q ~threads:p /. 1_000.0 in
+        let delta = Quiesce.estimate_delta_us q ~threads:p in
+        pf "%-10d %24.0f %20.0f\n" p worst delta;
+        [ string_of_int p; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" delta ])
+      [ 10; 20; 40; 80 ]
+  in
+  maybe_csv m ~name:"tab_quiesce" ~header:[ "threads"; "worst_quiesce_us"; "delta_us" ] rows;
   pf "(paper: 80 x 5us = 400us worst case, extrapolated Delta = 500us ~ 6us/thread.)\n";
   (* Operational check of the Section 6.1 design on the abstract machine
      itself: with realistic drains the bail-out never fires; with
@@ -549,14 +564,24 @@ let tab_quiesce m =
     ignore (Machine.run ~max_ticks:run_ticks machine);
     Machine.kill_remaining machine;
     pf "operational (tau=100us): %-28s %5d bail-outs in 2 ms-sim\n" label
-      (Machine.quiescence_events machine)
+      (Machine.quiescence_events machine);
+    [ label; string_of_int (Machine.quiescence_events machine) ]
   in
-  run_hw (Config.Drain_geometric { p = 0.5; cap = 200 }) "normal drains";
-  run_hw Config.Drain_adversarial "pathological starvation"
+  let normal = run_hw (Config.Drain_geometric { p = 0.5; cap = 200 }) "normal drains" in
+  let starving = run_hw Config.Drain_adversarial "pathological starvation" in
+  maybe_csv m ~name:"tab_quiesce_hw" ~header:[ "drains"; "bailouts" ] [ normal; starving ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* A hash-table run's row: updater and reader Mop/s, peak heap words. *)
+let ht_row (r : Hashtable_bench.result) =
+  [
+    Printf.sprintf "%.4f" (Hashtable_bench.updater_mops r);
+    Printf.sprintf "%.4f" (Hashtable_bench.reader_mops r);
+    string_of_int r.peak_heap_words;
+  ]
 
 let abl_echo m =
   header "Ablation: echoing vs non-owner arrival rate (FFBL)";
@@ -564,34 +589,48 @@ let abl_echo m =
   let gaps = [ Config.ms 1; Config.us 250; Config.us 60; Config.us 15; Config.us 4 ] in
   pf "%-16s %14s %14s %14s %14s\n" "nonowner gap" "echo own/ms" "echo non/ms"
     "noecho own/ms" "noecho non/ms";
-  List.iter
-    (fun gap ->
-      let pattern =
-        {
-          Lock_bench.pattern_name = "sweep";
-          owner_gap = 300;
-          nonowner_gap = gap;
-          owner_stall_every = None;
-          owner_stall = 0;
-        }
-      in
-      let run echo =
-        Lock_bench.run
+  let rows =
+    List.map
+      (fun gap ->
+        let pattern =
           {
-            Lock_bench.kind = Lock_bench.L_ffbl { delta = Config.us 500; echo };
-            pattern;
-            config = { Config.default with Config.seed = Int64.of_int m.seed };
-            run_ticks;
-            cs_ticks = 60;
-            seed = m.seed;
+            Lock_bench.pattern_name = "sweep";
+            owner_gap = 300;
+            nonowner_gap = gap;
+            owner_stall_every = None;
+            owner_stall = 0;
           }
-      in
-      let e = run true and n = run false in
-      pf "%-16s %14.1f %14.1f %14.1f %14.1f\n"
-        (Printf.sprintf "%d ticks" gap)
-        (Lock_bench.owner_rate e) (Lock_bench.nonowner_rate e) (Lock_bench.owner_rate n)
-        (Lock_bench.nonowner_rate n))
-    gaps;
+        in
+        let run echo =
+          Lock_bench.run
+            {
+              Lock_bench.kind = Lock_bench.L_ffbl { delta = Config.us 500; echo };
+              pattern;
+              config = { Config.default with Config.seed = Int64.of_int m.seed };
+              run_ticks;
+              cs_ticks = 60;
+              seed = m.seed;
+            }
+        in
+        let e = run true and n = run false in
+        pf "%-16s %14.1f %14.1f %14.1f %14.1f\n"
+          (Printf.sprintf "%d ticks" gap)
+          (Lock_bench.owner_rate e) (Lock_bench.nonowner_rate e) (Lock_bench.owner_rate n)
+          (Lock_bench.nonowner_rate n);
+        string_of_int gap
+        :: List.map (Printf.sprintf "%.3f")
+             [
+               Lock_bench.owner_rate e;
+               Lock_bench.nonowner_rate e;
+               Lock_bench.owner_rate n;
+               Lock_bench.nonowner_rate n;
+             ])
+      gaps
+  in
+  maybe_csv m ~name:"abl_echo"
+    ~header:
+      [ "nonowner_gap_ticks"; "echo_owner_ms"; "echo_nonowner_ms"; "noecho_owner_ms"; "noecho_nonowner_ms" ]
+    rows;
   pf "shape check: without echoing, throughput collapses as the non-owner speeds up.\n"
 
 let abl_delta m =
@@ -633,6 +672,8 @@ let abl_delta m =
       pf "%-14s %16.3f %16.2f %12d\n" label (Hashtable_bench.updater_mops r)
         (Hashtable_bench.reader_mops r) r.peak_heap_words)
     rows;
+  maybe_csv m ~name:"abl_delta" ~header:[ "delta"; "updater_mops"; "reader_mops"; "peak_words" ]
+    (List.map (fun (label, r) -> label :: ht_row r) rows);
   pf "shape check: little throughput impact while R gives headroom (Section 7.1.1).\n"
 
 let abl_r m =
@@ -642,26 +683,30 @@ let abl_r m =
   let h = nthreads * 3 in
   pf "H = %d hazard pointers; Delta = 0.5 ms-sim\n" h;
   pf "%-14s %16s %16s %12s\n" "R" "updater Mop/s" "reader Mop/s" "peak words";
-  List.iter
-    (fun r_max ->
-      let p =
-        {
-          Hashtable_bench.spec =
-            Smr_methods.S_ffhp { r = r_max; bound = `Delta (Config.us 500) };
-          config = { Config.default with Config.cache_bits = 8; seed = Int64.of_int m.seed };
-          nthreads;
-          mix = Hashtable_bench.Read_write;
-          buckets = 128;
-          avg_chain = 4;
-          run_ticks;
-          stall = None;
-          seed = m.seed;
-        }
-      in
-      let res = Hashtable_bench.run p in
-      pf "%-14d %16.3f %16.2f %12d\n" r_max (Hashtable_bench.updater_mops res)
-        (Hashtable_bench.reader_mops res) res.peak_heap_words)
-    [ h + 4; h + 32; 128; 512; 2048 ];
+  let rows =
+    List.map
+      (fun r_max ->
+        let p =
+          {
+            Hashtable_bench.spec =
+              Smr_methods.S_ffhp { r = r_max; bound = `Delta (Config.us 500) };
+            config = { Config.default with Config.cache_bits = 8; seed = Int64.of_int m.seed };
+            nthreads;
+            mix = Hashtable_bench.Read_write;
+            buckets = 128;
+            avg_chain = 4;
+            run_ticks;
+            stall = None;
+            seed = m.seed;
+          }
+        in
+        let res = Hashtable_bench.run p in
+        pf "%-14d %16.3f %16.2f %12d\n" r_max (Hashtable_bench.updater_mops res)
+          (Hashtable_bench.reader_mops res) res.peak_heap_words;
+        string_of_int r_max :: ht_row res)
+      [ h + 4; h + 32; 128; 512; 2048 ]
+  in
+  maybe_csv m ~name:"abl_r" ~header:[ "r"; "updater_mops"; "reader_mops"; "peak_words" ] rows;
   pf
     "shape check: R barely above H (the Delta > R > H constrained regime) throttles\n\
      updaters on reclaim waits; ample R costs only memory.\n"
@@ -699,6 +744,8 @@ let abl_adapt m =
   let a = run (Smr_methods.S_ffhp { r = 8192; bound = `Os_adapted }) (Some (Config.ms 4)) in
   pf "%-18s %16.3f %16.2f %12d\n" "adapted[4ms]" (Hashtable_bench.updater_mops a)
     (Hashtable_bench.reader_mops a) a.peak_heap_words;
+  maybe_csv m ~name:"abl_adapt" ~header:[ "variant"; "updater_mops"; "reader_mops"; "peak_words" ]
+    [ "TBTSO[0.5ms]" :: ht_row t; "adapted[4ms]" :: ht_row a ];
   pf
     "shape check: the adapted variant's extra slow-path work (scanning the per-core\n\
      time array) and coarser Delta cost little (Section 7.1.1).\n"
@@ -752,35 +799,33 @@ let ext_prw m =
     (!reads, !writes, !reader_fences, !reader_rmws)
   in
   pf "%-22s %12s %10s %14s %12s\n" "lock" "reads" "writes" "reader fences" "reader RMWs";
-  let r, w, f, a =
-    bench (fun machine ->
-        let l = Prwlock.create machine ~nreaders ~bound:(Bound.Delta (Config.us 500)) in
-        ( (fun reader -> Prwlock.read_lock l ~reader),
-          (fun reader -> Prwlock.read_unlock l ~reader),
-          (fun () -> Prwlock.write_lock l),
-          fun () -> Prwlock.write_unlock l ))
+  let rows = ref [] in
+  let row name make =
+    let r, w, f, a = bench make in
+    pf "%-22s %12d %10d %14d %12d\n" name r w f a;
+    rows := (name :: List.map string_of_int [ r; w; f; a ]) :: !rows
   in
-  pf "%-22s %12d %10d %14d %12d\n" "FF-prwlock (TBTSO)" r w f a;
-  let r, w, f, a =
-    bench (fun machine ->
-        let l =
-          Prwlock.create ~echo:false machine ~nreaders ~bound:(Bound.Delta (Config.us 500))
-        in
-        ( (fun reader -> Prwlock.read_lock l ~reader),
-          (fun reader -> Prwlock.read_unlock l ~reader),
-          (fun () -> Prwlock.write_lock l),
-          fun () -> Prwlock.write_unlock l ))
-  in
-  pf "%-22s %12d %10d %14d %12d\n" "FF-prwlock no-echo" r w f a;
-  let r, w, f, a =
-    bench (fun machine ->
-        let l = Rwlock_atomic.create machine in
-        ( (fun _ -> Rwlock_atomic.read_lock l),
-          (fun _ -> Rwlock_atomic.read_unlock l),
-          (fun () -> Rwlock_atomic.write_lock l),
-          fun () -> Rwlock_atomic.write_unlock l ))
-  in
-  pf "%-22s %12d %10d %14d %12d\n" "atomic rwlock" r w f a;
+  row "FF-prwlock (TBTSO)" (fun machine ->
+      let l = Prwlock.create machine ~nreaders ~bound:(Bound.Delta (Config.us 500)) in
+      ( (fun reader -> Prwlock.read_lock l ~reader),
+        (fun reader -> Prwlock.read_unlock l ~reader),
+        (fun () -> Prwlock.write_lock l),
+        fun () -> Prwlock.write_unlock l ));
+  row "FF-prwlock no-echo" (fun machine ->
+      let l = Prwlock.create ~echo:false machine ~nreaders ~bound:(Bound.Delta (Config.us 500)) in
+      ( (fun reader -> Prwlock.read_lock l ~reader),
+        (fun reader -> Prwlock.read_unlock l ~reader),
+        (fun () -> Prwlock.write_lock l),
+        fun () -> Prwlock.write_unlock l ));
+  row "atomic rwlock" (fun machine ->
+      let l = Rwlock_atomic.create machine in
+      ( (fun _ -> Rwlock_atomic.read_lock l),
+        (fun _ -> Rwlock_atomic.read_unlock l),
+        (fun () -> Rwlock_atomic.write_lock l),
+        fun () -> Rwlock_atomic.write_unlock l ));
+  maybe_csv m ~name:"ext_prw"
+    ~header:[ "lock"; "reads"; "writes"; "reader_fences"; "reader_rmws" ]
+    (List.rev !rows);
   pf
     "shape check: the fence-free readers execute zero atomics and beat the\n\
      reader-count design; writers pay the Delta wait (rare by assumption).\n"

@@ -40,15 +40,9 @@ let wait_visible t ~since =
       (* The deadline is a property of global time: sleeping is exactly
          as good as spinning here. *)
       Sim.stall_until (since + d + 1)
-  | Core_array _ ->
-      let rec probe () =
-        let now = Sim.clock () in
-        if visible_horizon t ~now <= since then begin
-          Sim.work 50;
-          probe ()
-        end
-      in
-      probe ()
+  | Core_array { ncores = 0; _ } -> ignore (Sim.clock ())
+  | Core_array { ncores; _ } ->
+      ignore (Sim.probe (visible_steps t ~after:since ~slot:0) (Array.make ncores 0) ~backoff:50)
 
 let pp fmt = function
   | Delta d -> Format.fprintf fmt "TBTSO[Δ=%d ticks]" d

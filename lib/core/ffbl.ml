@@ -40,18 +40,18 @@ let owner_lock t =
   let f1 = Sim.load t.flag1 in
   if raised f1 <> 0 then begin
     Sim.store t.flag0 (encode ~v:0 ~f:0);
-    if t.echo then begin
-      let rec acquire () =
-        if not (Spinlock.Tas.trylock t.l) then begin
-          (* Echo: tell the non-owner we are spinning on L so it can
-             stop its Δ wait. *)
-          let v1 = version (Sim.load t.flag1) in
-          Sim.store t.flag0 (encode ~v:v1 ~f:0);
-          acquire ()
-        end
-      in
-      acquire ()
-    end
+    if t.echo then
+      (* Until trylock succeeds, echo: load flag1 and store its version
+         to flag0, telling the non-owner we are spinning on L so it can
+         stop its Δ wait. *)
+      ignore
+        (Sim.probe
+           [|
+             Spinlock.Tas.trylock_step t.l;
+             Sim.Load (t.flag1, None);
+             Sim.Store (t.flag0, fun vs -> encode ~v:(version vs.(0)) ~f:0);
+           |]
+           [| 0 |] ~backoff:0)
     else Spinlock.Tas.trylock_until t.l ~backoff:10;
     t.slow <- t.slow + 1
   end

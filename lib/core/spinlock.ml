@@ -28,8 +28,9 @@ module Tas = struct
 
   let trylock t = Sim.cas t.word ~expected:0 ~desired:1
 
-  let trylock_until t ~backoff =
-    ignore (Sim.probe [| Sim.Cas { addr = t.word; expected = 0; desired = 1 } |] [||] ~backoff)
+  let trylock_step t = Sim.Cas { addr = t.word; expected = 0; desired = 1 }
+
+  let trylock_until t ~backoff = ignore (Sim.probe [| trylock_step t |] [||] ~backoff)
 
   let lock t =
     let rec spin backoff =

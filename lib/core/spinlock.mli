@@ -26,6 +26,10 @@ module Tas : sig
 
   val trylock : t -> bool
 
+  val trylock_step : t -> Tsim.Sim.step
+  (** {!trylock} as a {!Tsim.Sim.probe} step: a leading [Cas] that
+      exits the probe once it takes the lock. *)
+
   val trylock_until : t -> backoff:int -> unit
   (** [while not (trylock t) do work backoff done], as one
       {!Tsim.Sim.probe}. *)

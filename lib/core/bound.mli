@@ -36,7 +36,9 @@ val visible_steps : t -> after:int -> slot:int -> Tsim.Sim.step array
 val wait_visible : t -> since:int -> unit
 (** Block until every store issued at or before [since] is visible: the
     "wait Δ time units" step of the TBTSO flag principle, or the
-    array-scan loop of the adapted variant. Spins in bounded-cost probes
-    so that a simulated thread remains schedulable. *)
+    array-scan loop of the adapted variant. [Delta] stalls until past
+    the deadline; [Core_array] is one {!Tsim.Sim.probe} of
+    {!visible_steps} with [work 50] between iterations: a clock read,
+    then each core's entry. *)
 
 val pp : Format.formatter -> t -> unit

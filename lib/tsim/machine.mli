@@ -34,7 +34,30 @@
       under [Drain_adversarial] a store can starve forever;
     - [Tbtso delta]: like [Tso], but any entry older than [delta] ticks is
       force-committed at the start of the tick, establishing the paper's
-      invariant that a store enqueued at [t0] is in memory by [t0 + Δ]. *)
+      invariant that a store enqueued at [t0] is in memory by [t0 + Δ].
+
+    {b What a tick visits.} A tick's phases run in order — timer
+    interrupts, Δ (or [Tbtso_hw] τ) deadline drains, one voluntary
+    drain per thread, one instruction per thread from a rotating start
+    — and each first checks a bound on when it next has work, so that
+    a tick costs what is due at it:
+    - interrupts run only from the least next interrupt tick over the
+      cores that can still take one (an unfinished thread's, or a
+      finished one's while its buffer holds stores). The bound is
+      recomputed whenever interrupts run, and [spawn] resets it. It
+      stays a lower bound because a core that cannot take interrupts
+      never can again: a finished thread's buffer only shrinks;
+    - deadline drains (or [Tbtso_hw]'s expiry scan) run only from the
+      least [enqueue time + Δ] over buffered entries. The one enqueue
+      site lowers the bound; the tick that checks the deadlines
+      recomputes it. Drains only remove entries, so it stays a lower
+      bound;
+    - voluntary drains visit only the threads whose buffers hold
+      stores, in ascending tid order: a set kept at the one enqueue
+      site (a store instruction) and the one dequeue site (a commit).
+    Every phase then does exactly what visiting every thread at every
+    tick would: the same commits, interrupts, instructions and random
+    draws, in the same order. *)
 
 type t
 
@@ -117,9 +140,10 @@ val run : ?max_ticks:int -> ?stop_when:(t -> bool) -> t -> stop_reason
     is {i parked} when its latest iteration ran every access and failed
     every test, nothing has been written to memory since that
     iteration's first access, every access of it hit the cache, and
-    every step of an iteration takes a tick or more. Each later
-    iteration then loads the same values, fails the same tests, hits
-    the cache again and writes nothing: a failed CAS writes nothing.
+    every step of an iteration takes a tick or more; a probe with a
+    [Store] step never parks. Each later iteration then loads the same
+    values, fails the same tests, hits the cache again and writes
+    nothing: a failed CAS writes nothing.
     At the end of a tick in which some probe iteration failed, when no
     store is buffered anywhere and every unfinished thread is either
     parked or does nothing before some tick W, the machine takes each

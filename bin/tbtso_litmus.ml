@@ -103,7 +103,7 @@ let max_states_arg =
 
 let json_arg =
   let doc =
-    "Also write the verdicts as JSON (schema tbtso-litmus/5, or tbtso-sat/4 \
+    "Also write the verdicts as JSON (schema tbtso-litmus/5, or tbtso-sat/5 \
      when $(b,--oracle) sat or both adds SAT-oracle fields): one record per \
      (file, mode) pair with holds/complete/outcomes and the full exploration \
      statistics, plus aggregate checker metrics (total states, peak frontier, \
@@ -413,7 +413,7 @@ let advise_cmd =
          minimal-fence-set search ($(b,--fences)) all share one solver and \
          its learned clauses.";
       `P
-        "With $(b,--json), results are written as a tbtso-advise/1 document: \
+        "With $(b,--json), results are written as a tbtso-advise/2 document: \
          per file the verdict (robust always/bounded/never), the Δ \
          thresholds, an optional beyond-SC witness outcome, the fence \
          sites, the $(b,--verify) confirmation, and cumulative solver \
@@ -635,7 +635,7 @@ let scenarios_cmd =
          failure; $(b,emit) regenerates litmus/gen/ so the ordinary corpus \
          machinery (check, advise, CI) picks the same programs up.";
       `P
-        "With $(b,--json), results are written as a tbtso-scenario/3 \
+        "With $(b,--json), results are written as a tbtso-scenario/4 \
          document: per scenario and mode the expectation, the oracles' \
          combined reachability answer, pass/fail, and the full per-task \
          check record (explorer stats, SAT stats, oracle agreement).";

@@ -4,21 +4,23 @@
 
    Storage layout: the whole clause database lives in one flat int-array
    arena. A clause is an offset [cref] into the arena: the header word
-   at [cref] packs [size lsl 1 lor learnt], the literals follow inline
-   at [cref + 1 .. cref + size], with the two watched literals at slots
-   1 and 2. Offset 0 is reserved as the null reference ([cref_undef],
-   doubling as "no reason"), so the arena starts writing at word 1.
-   Watch lists are unboxed int vectors of (cref, blocker) pairs — the
-   blocker is a literal of the clause (kept in sync with the other
-   watch on every touch) whose being true proves the clause satisfied,
-   so most visits skip without dereferencing the clause at all. Learned
-   and scratch vectors are int vectors too: propagation, analysis and
-   clause addition allocate nothing on their steady-state paths, and
-   clause references survive arena reallocation (they are offsets, not
-   pointers). Retired clauses ({!simplify}) are dropped from the watch
-   lists and the learned set but their arena words are not reclaimed —
-   the encodings here are thousands of clauses, far below the point
-   where arena compaction would pay. *)
+   at [cref] packs [size lsl 2 lor removed lsl 1 lor learnt], the
+   literals follow inline at [cref + 1 .. cref + size], with the two
+   watched literals at slots 1 and 2. Offset 0 is reserved as the null
+   reference ([cref_undef], doubling as "no reason"), so the arena
+   starts writing at word 1. Watch lists are unboxed int vectors of
+   (cref, blocker) pairs — the blocker is a literal of the clause (kept
+   in sync with the other watch on every touch) whose being true proves
+   the clause satisfied, so most visits skip without dereferencing the
+   clause at all. Learned and scratch vectors are int vectors too:
+   propagation, analysis and clause addition allocate nothing on their
+   steady-state paths, and clause references survive arena reallocation
+   (they are offsets, not pointers). Retired clauses ({!simplify},
+   {!retire}) are dropped from the watch lists and the learned count,
+   and carry the removed bit so an index that still names them skips
+   them; their arena words are not reclaimed — the encodings here are
+   thousands of clauses, far below the point where arena compaction
+   would pay. *)
 
 module Span = Tbtso_obs.Span
 
@@ -124,6 +126,17 @@ type t = {
   tmp_tail : ivec;  (* analysis: sub-current-level learned literals *)
   tmp_clear : ivec;  (* analysis: seen flags to reset *)
   tmp_add : ivec;  (* add_clause: deduped literals, acceptance order *)
+  (* Guard index ({!new_guard}): [guard_occ.(v)] is [None] for an
+     ordinary variable, else the clauses added or learned with the
+     literal [neg v] while [v] is a live guard. [swept] is the root trail
+     length at which no live clause was satisfied by a root literal,
+     after the last sweep or fast retirement; [retire] takes its fast
+     path only from there. *)
+  mutable guard_occ : ivec option array;
+  mutable live_guards : int;
+  mutable swept : int;
+  mutable lit_mark : bool array;  (* retire: watch lists to compact *)
+  tmp_dirty : ivec;  (* retire: the marked literals *)
   mutable n_clauses : int;
   mutable n_solves : int;
   mutable n_removed : int;
@@ -167,6 +180,11 @@ let create () =
     tmp_tail = ivec_make ();
     tmp_clear = ivec_make ();
     tmp_add = ivec_make ();
+    guard_occ = [||];
+    live_guards = 0;
+    swept = 0;
+    lit_mark = [||];
+    tmp_dirty = ivec_make ();
     n_clauses = 0;
     n_solves = 0;
     n_removed = 0;
@@ -186,9 +204,13 @@ let set_profiler s p =
   s.ph_simplify <- Span.phase p "sat.simplify"
 
 (* Clause-arena access. *)
-let clause_size ca cref = ca.(cref) lsr 1
+let clause_size ca cref = ca.(cref) lsr 2
 
 let clause_learnt ca cref = ca.(cref) land 1 = 1
+
+let clause_removed ca cref = ca.(cref) land 2 <> 0
+
+let mark_removed ca cref = ca.(cref) <- ca.(cref) lor 2
 
 let ca_ensure s extra =
   let cap = Array.length s.ca in
@@ -207,7 +229,7 @@ let ca_ensure s extra =
 let alloc_clause s size learnt =
   ca_ensure s (size + 1);
   let cref = s.ca_used in
-  s.ca.(cref) <- (size lsl 1) lor (if learnt then 1 else 0);
+  s.ca.(cref) <- (size lsl 2) lor (if learnt then 1 else 0);
   s.ca_used <- cref + size + 1;
   cref
 
@@ -304,9 +326,19 @@ let new_var s =
   (let want = 2 * (v + 1) in
    let cap = Array.length s.watches in
    if want > cap then begin
-     let d = Array.init (max 32 (max want (2 * cap))) (fun _ -> ivec_make ()) in
+     let ncap = max 32 (max want (2 * cap)) in
+     let d = Array.init ncap (fun _ -> ivec_make ()) in
      Array.blit s.watches 0 d 0 cap;
-     s.watches <- d
+     s.watches <- d;
+     let m = Array.make ncap false in
+     Array.blit s.lit_mark 0 m 0 (Array.length s.lit_mark);
+     s.lit_mark <- m
+   end);
+  (let cap = Array.length s.guard_occ in
+   if v >= cap then begin
+     let d = Array.make (max 16 (2 * cap)) None in
+     Array.blit s.guard_occ 0 d 0 cap;
+     s.guard_occ <- d
    end);
   (let a = ref s.trail in
    grow_int a (v + 1) 0;
@@ -365,6 +397,20 @@ let cancel_until s lvl =
     s.trail_sz <- lim;
     s.qhead <- lim;
     s.n_levels <- lvl
+  end
+
+(* Record [cref] in the guard index of every guard whose negation it
+   contains. One array read per literal for clauses without guards. *)
+let index_guards s cref =
+  if s.live_guards > 0 then begin
+    let ca = s.ca in
+    for k = 1 to clause_size ca cref do
+      let l = ca.(cref + k) in
+      if l land 1 = 1 then
+        match s.guard_occ.(lit_var l) with
+        | Some occ -> ivec_push occ cref
+        | None -> ()
+    done
   end
 
 (* Watch the clause through its slot-1 and slot-2 literals, each entry
@@ -599,7 +645,8 @@ let addc_finish s =
         ca.(cref + 1 + k) <- keep.idata.(m - 1 - k)
       done;
       s.n_clauses <- s.n_clauses + 1;
-      attach s cref
+      attach s cref;
+      index_guards s cref
 
 let add_clause s lits =
   if s.ok then begin
@@ -688,6 +735,7 @@ let solve ?(assumptions = []) s =
             enqueue s first learnt
           end;
           ivec_push s.learnts learnt;
+          index_guards s learnt;
           s.n_learned <- s.n_learned + 1;
           s.var_inc <- s.var_inc /. 0.95
         end
@@ -749,50 +797,152 @@ let root_satisfied s cref =
   in
   go 1
 
+(* Keep the entries of a watch list whose clause [drop] rejects, in
+   order; returns how many were dropped. *)
+let compact_watches ws drop =
+  let j = ref 0 in
+  let i = ref 0 in
+  let dropped = ref 0 in
+  while !i < ws.isz do
+    let cref = ws.idata.(!i) in
+    if drop cref then incr dropped
+    else begin
+      ws.idata.(!j) <- cref;
+      ws.idata.(!j + 1) <- ws.idata.(!i + 1);
+      j := !j + 2
+    end;
+    i := !i + 2
+  done;
+  ws.isz <- !j;
+  !dropped
+
+(* Compact the learned set, in order: entries already removed leave
+   uncounted, and [drop] selects more; returns how many it took. *)
+let compact_learnts s drop =
+  let lv = s.learnts in
+  let j = ref 0 in
+  let dropped = ref 0 in
+  for i = 0 to lv.isz - 1 do
+    let cref = lv.idata.(i) in
+    if clause_removed s.ca cref then ()
+    else if drop cref then incr dropped
+    else begin
+      lv.idata.(!j) <- cref;
+      incr j
+    end
+  done;
+  lv.isz <- !j;
+  !dropped
+
+(* Counters after dropping clauses: [watch_entries] watch-list entries
+   (two per attached clause) and [learnt] learned clauses, unit ones
+   included. *)
+let account_dropped s ~watch_entries ~learnt =
+  let dropped = watch_entries / 2 in
+  s.n_learned <- s.n_learned - learnt;
+  s.n_clauses <- s.n_clauses - (dropped - learnt);
+  s.n_removed <- s.n_removed + dropped
+
+(* The sweep: every watch list and the learned set. Learned clauses a
+   fast retirement already removed are dropped from the learned set
+   without being counted again; every clause dropped here gets the
+   removed bit, so a guard index naming it skips it later. *)
 let simplify_work s =
   cancel_until s 0;
   if s.ok then
     if propagate s <> cref_undef then s.ok <- false
     else begin
+      let drop cref =
+        root_satisfied s cref
+        && begin
+             mark_removed s.ca cref;
+             true
+           end
+      in
+      let learnt = compact_learnts s drop in
       let removed = ref 0 in
-      Array.iter
-        (fun ws ->
-          let j = ref 0 in
-          let i = ref 0 in
-          while !i < ws.isz do
-            let cref = ws.idata.(!i) in
-            if root_satisfied s cref then incr removed
-            else begin
-              ws.idata.(!j) <- cref;
-              ws.idata.(!j + 1) <- ws.idata.(!i + 1);
-              j := !j + 2
-            end;
-            i := !i + 2
-          done;
-          ws.isz <- !j)
-        s.watches;
-      (* Each removed clause sat in exactly two watch lists. *)
-      let dropped = !removed / 2 in
-      let lv = s.learnts in
-      let j = ref 0 in
-      for i = 0 to lv.isz - 1 do
-        let cref = lv.idata.(i) in
-        if not (root_satisfied s cref) then begin
-          lv.idata.(!j) <- cref;
-          incr j
-        end
-      done;
-      let dropped_learnt = lv.isz - !j in
-      lv.isz <- !j;
-      s.n_learned <- s.n_learned - dropped_learnt;
-      s.n_clauses <- s.n_clauses - (dropped - dropped_learnt);
-      s.n_removed <- s.n_removed + dropped
+      Array.iter (fun ws -> removed := !removed + compact_watches ws drop) s.watches;
+      account_dropped s ~watch_entries:!removed ~learnt;
+      s.swept <- s.trail_sz
     end
 
 let simplify s =
   Span.start s.ph_simplify;
   let r0 = s.n_removed in
   simplify_work s;
+  Span.stop s.ph_simplify;
+  Span.items s.ph_simplify (s.n_removed - r0)
+
+let new_guard s =
+  let v = new_var s in
+  s.guard_occ.(v) <- Some (ivec_make ());
+  s.live_guards <- s.live_guards + 1;
+  pos v
+
+(* Drop the clauses of a guard's index that no sweep dropped before:
+   mark each, compact the watch lists of their two watched
+   literals once each, and count exactly as [simplify_work] does. *)
+let drop_indexed s occ =
+  let ca = s.ca in
+  let dirty = s.tmp_dirty in
+  dirty.isz <- 0;
+  let dropped_learnt = ref 0 in
+  for k = 0 to occ.isz - 1 do
+    let cref = occ.idata.(k) in
+    if not (clause_removed ca cref) then begin
+      mark_removed ca cref;
+      if clause_learnt ca cref then incr dropped_learnt;
+      if clause_size ca cref >= 2 then
+        for w = 1 to 2 do
+          let l = ca.(cref + w) in
+          if not s.lit_mark.(l) then begin
+            s.lit_mark.(l) <- true;
+            ivec_push dirty l
+          end
+        done
+    end
+  done;
+  let removed = ref 0 in
+  for k = 0 to dirty.isz - 1 do
+    let l = dirty.idata.(k) in
+    s.lit_mark.(l) <- false;
+    removed := !removed + compact_watches s.watches.(l) (clause_removed ca)
+  done;
+  account_dropped s ~watch_entries:!removed ~learnt:!dropped_learnt;
+  (* The learned set keeps removed entries until they outnumber the
+     live ones; compacting it then is amortised O(1) per clause. *)
+  if s.learnts.isz > (2 * s.n_learned) + 64 then
+    ignore (compact_learnts s (fun _ -> false))
+
+(* Fast path: the database was clean at [swept] (no live clause
+   satisfied by a root literal), and the one root literal assigned since,
+   once [¬g] is added and propagated, is [¬g] itself — added here, or
+   learned as a unit by the query's closing solve. Then the clauses the
+   sweep would drop are exactly those containing [¬g], all of which the
+   guard index lists. Otherwise sweep. *)
+let retire_work s g =
+  cancel_until s 0;
+  let v = lit_var g in
+  let occ = if lit_sign g then s.guard_occ.(v) else None in
+  add_clause s [ negate g ];
+  (if s.ok then
+     if propagate s <> cref_undef then s.ok <- false
+     else
+       match occ with
+       | Some occ
+         when s.trail_sz = s.swept + 1 && s.trail.(s.swept) = negate g ->
+           drop_indexed s occ;
+           s.swept <- s.trail_sz
+       | _ -> simplify_work s);
+  if Option.is_some occ then begin
+    s.guard_occ.(v) <- None;
+    s.live_guards <- s.live_guards - 1
+  end
+
+let retire s g =
+  Span.start s.ph_simplify;
+  let r0 = s.n_removed in
+  retire_work s g;
   Span.stop s.ph_simplify;
   Span.items s.ph_simplify (s.n_removed - r0)
 
@@ -812,14 +962,13 @@ let learned_clauses s =
   let out = ref [] in
   for i = s.learnts.isz - 1 downto 0 do
     let cref = s.learnts.idata.(i) in
-    let size = clause_size ca cref in
-    let lits = ref [] in
-    for k = size downto 1 do
-      lits := ca.(cref + k) :: !lits
-    done;
-    out := !lits :: !out
+    if not (clause_removed ca cref) then begin
+      let size = clause_size ca cref in
+      let lits = ref [] in
+      for k = size downto 1 do
+        lits := ca.(cref + k) :: !lits
+      done;
+      out := !lits :: !out
+    end
   done;
   !out
-
-(* [clause_learnt] documents the header encoding; keep it referenced. *)
-let _ = clause_learnt

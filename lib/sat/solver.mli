@@ -20,9 +20,11 @@
 
     There is no preprocessing or literal-block distance heuristic — the
     litmus encodings are thousands of clauses at most, and a transparent
-    solver is worth more here than a fast one. The one concession to
-    long-lived incremental use is {!simplify}, which reclaims clauses
-    made permanently satisfied by retired activation literals.
+    solver is worth more here than a fast one. The concessions to
+    long-lived incremental use are {!simplify}, which reclaims clauses
+    made permanently satisfied by retired activation literals, and
+    {!new_guard} / {!retire}, which reclaim one query's clauses without
+    visiting the rest of the database.
     {!learned_clauses} exposes the learned set so tests can check each
     learned clause is entailed by the original formula. *)
 
@@ -99,7 +101,9 @@ type stats = {
   propagations : int;
   learned : int;  (** Learned clauses currently retained. *)
   restarts : int;
-  removed : int;  (** Clauses reclaimed by {!simplify} over the lifetime. *)
+  removed : int;
+      (** Clauses reclaimed by {!simplify} and {!retire} over the
+          lifetime. *)
 }
 
 val stats : t -> stats
@@ -123,7 +127,33 @@ val simplify : t -> unit
     clause [¬a] makes all clauses guarded by [a] permanently satisfied,
     and [simplify] reclaims them from the watch lists so long query
     sequences (Δ-sweeps, per-outcome probes) do not degrade propagation.
-    Entailment of the remaining formula is unchanged. *)
+    Entailment of the remaining formula is unchanged. It visits every
+    watch list; {!retire} does the same job for one guard, usually
+    without that sweep. *)
+
+val new_guard : t -> lit
+(** A fresh variable's positive literal [g], for use as a query guard:
+    the caller hangs query-local clauses off it as [¬g ∨ …], solves
+    under the assumption [g], and ends the query with {!retire}. The
+    solver indexes every clause added or learned with [¬g] while [g] is
+    live. A guard is an ordinary variable in every other respect:
+    creating one changes no search. *)
+
+val retire : t -> lit -> unit
+(** [retire s g] has exactly the effect of [add_clause s [negate g];
+    simplify s] — same clauses dropped, same counters — but usually
+    without the sweep. When the database was clean after the last
+    sweep or retirement (no live clause satisfied by a root literal),
+    nothing has been assigned at the root since, and propagating [¬g]
+    at the root assigns nothing besides [¬g], the clauses to drop are
+    exactly those containing [¬g]. [retire] then drops the ones [g]'s
+    index lists and compacts only their watched literals' watch lists:
+    O(the query's clauses + the learned clauses containing [¬g] + the
+    lengths of those watch lists). In every other case it falls back to
+    the full sweep: a root unit learned during the query, a clause
+    added since that assigned a root literal, a [¬g] that propagates
+    further, or a [g] that did not come from {!new_guard}. Runs in the
+    [sat.simplify] phase. *)
 
 val learned_clauses : t -> lit list list
 (** The learned clauses, for invariant checks in tests: each must be a

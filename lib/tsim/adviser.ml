@@ -242,7 +242,7 @@ let report_json r =
 let json_doc ~registry reports =
   Json.obj
     [
-      ("schema", Json.String "tbtso-advise/1");
+      ("schema", Json.String "tbtso-advise/2");
       ("results", Json.List (List.map report_json reports));
       ("totals", Tbtso_obs.Metrics.to_json registry);
     ]

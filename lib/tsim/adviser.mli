@@ -92,10 +92,12 @@ val fence_string : fence_advice -> string
 val outcome_json : Litmus.outcome -> Tbtso_obs.Json.t
 
 val report_json : report -> Tbtso_obs.Json.t
-(** One [results] entry of the [tbtso-advise/1] document. *)
+(** One [results] entry of the [tbtso-advise/2] document. *)
 
 val json_doc : registry:Tbtso_obs.Metrics.t -> report list -> Tbtso_obs.Json.t
-(** The [tbtso-advise/1] document: [schema], [results], [totals]. *)
+(** The [tbtso-advise/2] document: [schema], [results], [totals]. /2
+    adds the ["seeded"] count to each result's SAT [stats] and
+    [sat.seeded] to [totals]. *)
 
 val exit_code : report list -> int
 (** 3 if any report's confirmation is a {!Mismatch}, else 2 if any is

@@ -23,6 +23,7 @@ type stats = {
   learned : int;
   restarts : int;
   outcomes : int;
+  seeded : int;
   elapsed : float;
 }
 
@@ -53,6 +54,18 @@ type obs =
   | Ob_val of int * int * (int * S.lit) list  (* thread, reg, value -> lit *)
   | Ob_mem of int * (int * S.lit) list  (* addr, value -> lit *)
 
+(* A query's formula, as far as answer reuse cares: the mode's
+   activation (none for TSO and for Δ ≥ H, the Δ grid point, or the
+   TSO[S] capacity) and the sorted active fence sites. *)
+type key = Top | Grid of int | Cap of int
+
+type answer = {
+  akey : key;
+  afences : (int * int) list;
+  aset : Litmus.outcome list;  (* sorted *)
+  acomplete : bool;
+}
+
 type session = {
   s : S.t;
   n : int;
@@ -65,9 +78,11 @@ type session = {
   delta_act : int -> S.lit;
   cap_act : int -> S.lit;
   fence_act : int * int -> S.lit;
-  mutable sc_guard : S.lit option;
-  mutable sc_set : Litmus.outcome list;
+  mutable answers : answer list;
+  mutable sc_baseline : (S.lit * Litmus.outcome list) option;
+  mutable sweep : bool;
   mutable outcomes_total : int;
+  mutable seeded_total : int;
   mutable elapsed : float;
 }
 
@@ -848,9 +863,11 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
       delta_act;
       cap_act;
       fence_act;
-      sc_guard = None;
-      sc_set = [];
+      answers = [];
+      sc_baseline = None;
+      sweep = false;
       outcomes_total = 0;
+      seeded_total = 0;
       elapsed = Sys.time () -. t0;
     }
   in
@@ -862,12 +879,51 @@ let horizon sess = sess.h
 let path_combinations sess = sess.combos
 let fence_sites sess = sess.sites
 
-let mode_assumptions sess mode =
-  match mode with
-  | Litmus.M_sc -> if sess.h > 1 then [ sess.delta_act 1 ] else []
-  | Litmus.M_tso -> []
-  | Litmus.M_tbtso d -> if d >= sess.h then [] else [ sess.delta_act d ]
-  | Litmus.M_tsos c -> [ sess.cap_act c ]
+let mode_key sess = function
+  | Litmus.M_sc -> if sess.h > 1 then Grid 1 else Top
+  | Litmus.M_tso -> Top
+  | Litmus.M_tbtso d -> if d >= sess.h then Top else Grid d
+  | Litmus.M_tsos c -> Cap c
+
+let key_assumptions sess = function
+  | Top -> []
+  | Grid d -> [ sess.delta_act d ]
+  | Cap c -> [ sess.cap_act c ]
+
+(* Does a query on (key, fences) include the earlier answer's formula,
+   so that every outcome of the answer is an outcome of the query?
+   Smaller Δ and more fences only remove executions; TSO includes every
+   mode; a capacity answer says nothing about another capacity or a Δ. *)
+let includes ~key ~fences a =
+  List.for_all (fun f -> List.mem f a.afences) fences
+  &&
+  match (key, a.akey) with
+  | Top, _ -> true
+  | Grid d, Grid d' -> d' <= d
+  | Cap c, Cap c' -> c = c'
+  | _ -> false
+
+(* The union of the included earlier answers, and whether one of them
+   already is this very query answered completely. *)
+let seeds sess ~key ~fences =
+  let earlier = List.filter (includes ~key ~fences) sess.answers in
+  match
+    List.find_opt
+      (fun a -> a.acomplete && a.akey = key && a.afences = fences)
+      earlier
+  with
+  | Some a -> (a.aset, true)
+  | None ->
+      (List.sort_uniq compare (List.concat_map (fun a -> a.aset) earlier), false)
+
+(* Keep an answer for later queries; it supersedes earlier answers of the
+   same formula, which were its seeds. *)
+let remember sess ~key ~fences (outcomes, complete) =
+  sess.answers <-
+    { akey = key; afences = fences; aset = outcomes; acomplete = complete }
+    :: List.filter
+         (fun a -> not (a.akey = key && a.afences = fences))
+         sess.answers
 
 let extract sess =
   let regs_a = Array.init sess.n (fun _ -> Array.make sess.regs 0) in
@@ -885,40 +941,72 @@ let extract sess =
     sess.observables;
   { Litmus.regs = regs_a; mem }
 
-(* Forbid the current observable projection, under the query guard so
-   the clause can be retired when the query ends. *)
-let block sess guard =
+(* Forbid an outcome's observable projection under the query guard, so
+   the clause retires with the query. Each observable group is
+   exactly-one, so an outcome names one literal per group: the clause is
+   the one a model with this outcome would block. *)
+let block sess guard (o : Litmus.outcome) =
   S.add_clause sess.s
     (S.negate guard
     :: List.concat_map
-         (function
-           | Ob_val (_, _, pairs) | Ob_mem (_, pairs) ->
-               List.filter_map
-                 (fun (_, l) ->
-                   if S.lit_value sess.s l then Some (S.negate l) else None)
-                 pairs)
+         (fun ob ->
+           let v, pairs =
+             match ob with
+             | Ob_val (i, r, pairs) -> (o.regs.(i).(r), pairs)
+             | Ob_mem (a, pairs) -> (o.mem.(a), pairs)
+           in
+           List.filter_map
+             (fun (v', l) -> if v' = v then Some (S.negate l) else None)
+             pairs)
          sess.observables)
 
-let enumerate_guarded sess ~assumptions ~guard ~max_outcomes =
+(* Enumerate under [guard :: assumptions], starting from [seeds], which
+   the caller blocked: every solve finds a new outcome or closes the
+   query. Returns the sorted outcomes and completeness. *)
+let enumerate_guarded sess ~assumptions ~guard ~max_outcomes seeds =
   let found = Hashtbl.create 64 in
+  List.iter (fun o -> Hashtbl.replace found o ()) seeds;
   let complete = ref true in
   let continue_ = ref true in
   let assumptions = guard :: assumptions in
   while !continue_ do
     if not (S.solve ~assumptions sess.s) then continue_ := false
     else begin
-      Hashtbl.replace found (extract sess) ();
+      let o = extract sess in
+      Hashtbl.replace found o ();
       if Hashtbl.length found >= max_outcomes then begin
         complete := false;
         continue_ := false
       end
-      else block sess guard
+      else block sess guard o
     end
   done;
   ( List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) found []),
     !complete )
 
-let stats_of sess ~outcomes ~elapsed =
+let rec take k = function x :: r when k > 0 -> x :: take (k - 1) r | _ -> []
+
+(* A query's answer: the seeds alone when they already fill the budget,
+   else the seeds blocked under the guard and then either the cached
+   set of an identical complete query or an enumeration that starts
+   from them. Also returns how many outcomes came from earlier
+   answers. *)
+let answer sess ~key ~fences ~guard ~assumptions ~max_outcomes =
+  let seeded, exact = seeds sess ~key ~fences in
+  let cap = max 1 max_outcomes in
+  let n = List.length seeded in
+  let outcomes, complete =
+    if n >= cap then (take cap seeded, false)
+    else begin
+      List.iter (block sess guard) seeded;
+      if exact then (seeded, true)
+      else enumerate_guarded sess ~assumptions ~guard ~max_outcomes seeded
+    end
+  in
+  remember sess ~key ~fences (outcomes, complete);
+  (outcomes, complete, min n cap)
+
+let stats_of sess ~outcomes ~seeded ~elapsed =
   let st = S.stats sess.s in
   {
     paths = sess.combos;
@@ -931,17 +1019,19 @@ let stats_of sess ~outcomes ~elapsed =
     learned = st.S.learned;
     restarts = st.S.restarts;
     outcomes;
+    seeded;
     elapsed;
   }
 
 let session_stats sess =
-  stats_of sess ~outcomes:sess.outcomes_total ~elapsed:sess.elapsed
+  stats_of sess ~outcomes:sess.outcomes_total ~seeded:sess.seeded_total
+    ~elapsed:sess.elapsed
 
 (* One query's share of the work counters: differences against the
    solver's counters at the start of the query. [vars] / [clauses] /
    [learned] describe the session's formula, so they stay snapshots. *)
-let query_stats sess (before : S.stats) ~outcomes ~elapsed =
-  let st = stats_of sess ~outcomes ~elapsed in
+let query_stats sess (before : S.stats) ~outcomes ~seeded ~elapsed =
+  let st = stats_of sess ~outcomes ~seeded ~elapsed in
   {
     st with
     solves = st.solves - before.S.solves;
@@ -951,68 +1041,79 @@ let query_stats sess (before : S.stats) ~outcomes ~elapsed =
     restarts = st.restarts - before.S.restarts;
   }
 
-(* The SC outcome set is the robustness baseline: enumerated once, its
-   blocking clauses stay behind a guard literal that later containment
-   queries re-assume. *)
+(* The SC outcome set is the robustness baseline: its blocking clauses
+   stay behind a guard literal that is never retired and that later
+   containment queries re-assume. An SC set some query already
+   answered is blocked as it stands, with no solve. *)
 let sc_baseline sess =
-  match sess.sc_guard with
-  | Some q -> (q, sess.sc_set)
+  match sess.sc_baseline with
+  | Some b -> b
   | None ->
       let t0 = Sys.time () in
       let q = S.pos (S.new_var sess.s) in
-      let outcomes, complete =
-        enumerate_guarded sess
-          ~assumptions:(mode_assumptions sess Litmus.M_sc)
-          ~guard:q ~max_outcomes:default_max_outcomes
+      let key = mode_key sess Litmus.M_sc in
+      let outcomes, complete, seeded =
+        answer sess ~key ~fences:[] ~guard:q
+          ~assumptions:(key_assumptions sess key)
+          ~max_outcomes:default_max_outcomes
       in
       if not complete then
         failwith "Axiomatic: SC baseline outcome budget exhausted";
-      sess.sc_guard <- Some q;
-      sess.sc_set <- outcomes;
+      sess.sc_baseline <- Some (q, outcomes);
       sess.outcomes_total <- sess.outcomes_total + List.length outcomes;
+      sess.seeded_total <- sess.seeded_total + seeded;
       sess.elapsed <- sess.elapsed +. (Sys.time () -. t0);
       (q, outcomes)
 
 let sc_outcomes sess = snd (sc_baseline sess)
+
+let sweep_on_retire sess = sess.sweep <- true
+
+(* Retire the query: its blocking clauses (and any learned clause that
+   resolved against them) become permanently satisfied and are
+   reclaimed; mode-independent learned clauses survive for the next
+   query. *)
+let retire sess q =
+  if sess.sweep then begin
+    S.add_clause sess.s [ S.negate q ];
+    S.simplify sess.s
+  end
+  else S.retire sess.s q
 
 let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
     mode =
   let t0 = Sys.time () in
   let before = S.stats sess.s in
   let fence_lits = List.map sess.fence_act fences in
-  let outcomes, complete =
-    if mode = Litmus.M_sc && fences = [] && sess.sc_guard <> None then
-      (sess.sc_set, true)
-    else begin
-      let q = S.pos (S.new_var sess.s) in
-      let outcomes, complete =
-        enumerate_guarded sess
-          ~assumptions:(mode_assumptions sess mode @ fence_lits)
-          ~guard:q ~max_outcomes
-      in
-      (* Retire the query: its blocking clauses (and any learned clause
-         that resolved against them) become permanently satisfied and
-         are reclaimed; mode-independent learned clauses survive for
-         the next query. *)
-      S.add_clause sess.s [ S.negate q ];
-      S.simplify sess.s;
-      sess.outcomes_total <- sess.outcomes_total + List.length outcomes;
-      (outcomes, complete)
-    end
+  (* Every query owns a guard, cached or not, so the formula's size
+     after a sequence of queries does not depend on which were cached. *)
+  let q = S.new_guard sess.s in
+  let key = mode_key sess mode in
+  let outcomes, complete, seeded =
+    answer sess ~key
+      ~fences:(List.sort_uniq compare fences)
+      ~guard:q
+      ~assumptions:(key_assumptions sess key @ fence_lits)
+      ~max_outcomes
   in
+  retire sess q;
+  let n = List.length outcomes in
+  sess.outcomes_total <- sess.outcomes_total + n;
+  sess.seeded_total <- sess.seeded_total + seeded;
   let dt = Sys.time () -. t0 in
   sess.elapsed <- sess.elapsed +. dt;
   {
     outcomes;
     complete;
-    stats = query_stats sess before ~outcomes:(List.length outcomes) ~elapsed:dt;
+    stats = query_stats sess before ~outcomes:n ~seeded ~elapsed:dt;
   }
 
 let robust sess ?(fences = []) mode =
   let t0 = Sys.time () in
   let q_sc, _ = sc_baseline sess in
   let assumptions =
-    (q_sc :: mode_assumptions sess mode) @ List.map sess.fence_act fences
+    (q_sc :: key_assumptions sess (mode_key sess mode))
+    @ List.map sess.fence_act fences
   in
   let r =
     if S.solve ~assumptions sess.s then `Witness (extract sess) else `Robust
@@ -1035,9 +1136,9 @@ let enumerate ~mode ?addrs ?regs ?max_outcomes programs =
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d paths, %d vars, %d clauses, %d solves, %d conflicts, %d decisions, \
-     %d learned, %d restarts, %d outcomes, %.3fs"
+     %d learned, %d restarts, %d outcomes (%d seeded), %.3fs"
     s.paths s.vars s.clauses s.solves s.conflicts s.decisions s.learned
-    s.restarts s.outcomes s.elapsed
+    s.restarts s.outcomes s.seeded s.elapsed
 
 let stats_json s =
   let open Tbtso_obs in
@@ -1053,6 +1154,7 @@ let stats_json s =
       ("learned", Json.Int s.learned);
       ("restarts", Json.Int s.restarts);
       ("outcomes", Json.Int s.outcomes);
+      ("seeded", Json.Int s.seeded);
       ("elapsed_s", Json.Float s.elapsed);
     ]
 
@@ -1068,6 +1170,7 @@ let record_stats registry s =
   Metrics.add (Metrics.counter registry "sat.learned") s.learned;
   Metrics.add (Metrics.counter registry "sat.restarts") s.restarts;
   Metrics.add (Metrics.counter registry "sat.outcomes") s.outcomes;
+  Metrics.add (Metrics.counter registry "sat.seeded") s.seeded;
   Metrics.add (Metrics.counter registry "sat.explorations") 1;
   let elapsed = Metrics.gauge registry "sat.elapsed_s" in
   Metrics.set elapsed (Metrics.gauge_value elapsed +. s.elapsed)

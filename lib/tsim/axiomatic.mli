@@ -67,16 +67,40 @@
     mode's outcome set equal to the SC set? Enumeration solves under
     [mode activation + a fresh query guard] with blocking clauses over
     the observable literals hung off the guard; when the query ends
-    the guard is retired (unit + {!Tbtso_sat.Solver.simplify}), so
-    mode-independent learned clauses survive into the next query while
-    query-local clauses are reclaimed. Robustness needs no second
-    enumeration: the SC set is enumerated once behind a persistent
-    guard, and a single [solve] under [mode activation + SC guard]
-    decides containment (SC ⊆ mode holds by construction for every
-    mode the grid can express) — a model is a witness outcome beyond
-    SC. This is what makes Δ-sweeps and minimal-Δ binary searches
-    (see {!Adviser}) cheap: one formula, retained learned clauses,
-    O(log H) incremental queries.
+    the guard is retired ({!Tbtso_sat.Solver.retire}, which drops
+    exactly what a unit plus a full {!Tbtso_sat.Solver.simplify} sweep
+    would, usually without the sweep), so mode-independent learned
+    clauses survive into the next query while query-local clauses are
+    reclaimed. Robustness needs no second enumeration: the SC set is
+    blocked once behind a persistent guard, and a single [solve] under
+    [mode activation + SC guard] decides containment (SC ⊆ mode holds
+    by construction for every mode the grid can express) — a model is a
+    witness outcome beyond SC. This is what makes Δ-sweeps and
+    minimal-Δ binary searches (see {!Adviser}) cheap: one formula,
+    retained learned clauses, O(log H) incremental queries.
+
+    {2 Answer reuse}
+
+    The outcome sets nest: SC ⊆ TBTSO[Δ] ⊆ TBTSO[Δ'] ⊆ TSO for
+    Δ ≤ Δ', TSO[S] ⊆ TSO, and adding fences only removes executions.
+    The formula mirrors this (the Δ grid's activation literals are
+    chained), so a session keeps every answer with its mode and fences
+    and seeds a new query with the union of the earlier answers whose
+    formula the query's includes: an earlier answer counts when its
+    fence set contains the query's and its mode is below the query's —
+    a Δ (SC being Δ = 1, and Δ ≥ H being TSO) no larger than the
+    query's Δ, anything when the query is TSO, and for a TSO[S] query
+    only TSO[S] answers with the same S. The seeds are blocked under
+    the query guard before the first solve, so a query makes one solve
+    per {e new} outcome plus the closing UNSAT one. A query whose mode
+    and fence set equal those of an earlier complete answer (TBTSO[1]
+    after SC, say, or any repeat) returns that answer with no solve;
+    so does a query whose seeds alone reach [max_outcomes] (it returns
+    the first [max_outcomes] of them, incomplete). The [seeded] stats
+    field counts the outcomes that came from earlier answers; for a
+    complete query [solves = outcomes − seeded + 1], and [solves = 0]
+    for a cached one. Complete answers are exactly those of a fresh
+    session.
 
     The module deliberately shares no exploration code with
     {!Litmus}: it reuses only the instruction AST and the
@@ -95,14 +119,24 @@ type stats = {
   paths : int;
       (** Loadeq path combinations covered by the (single) formula. *)
   vars : int;  (** SAT variables in the session's solver. *)
-  clauses : int;  (** Problem clauses currently live. *)
-  solves : int;  (** Solver calls (≥ outcomes + 1 per enumeration). *)
+  clauses : int;
+      (** Problem clauses currently live. Clauses satisfied by a root
+          unit the search learned are not, so on a shared session this
+          snapshot depends on the search, not only on the formula. *)
+  solves : int;
+      (** Solver calls: [outcomes − seeded + 1] for a complete
+          enumeration, [outcomes − seeded] for one cut by
+          [max_outcomes], 0 for a cached one. *)
   conflicts : int;
   decisions : int;
   propagations : int;
   learned : int;  (** Learned clauses currently retained. *)
   restarts : int;
   outcomes : int;  (** Distinct outcomes found. *)
+  seeded : int;
+      (** Outcomes taken from the session's earlier answers rather than
+          found by a solve (see {e Answer reuse} above); 0 for a fresh
+          session's first query. *)
   elapsed : float;
       (** CPU seconds spent solving; {!explore}'s also include the
           encode. *)
@@ -160,18 +194,22 @@ val enumerate_session :
   Litmus.mode ->
   result
 (** All reachable outcomes under the mode (and the given fences),
-    by incremental SAT enumeration. Blocking clauses are hung off a
+    by incremental SAT enumeration seeded with the session's earlier
+    answers (see {e Answer reuse}). Blocking clauses are hung off a
     per-query guard and reclaimed when the query ends; learned clauses
     that do not depend on them are retained for later queries. The
     result's work counters are this query's alone (see {!stats}): over
     a session that only serves [enumerate_session] queries they sum to
-    {!session_stats}'s.
+    {!session_stats}'s. With [max_outcomes] reached the result is
+    incomplete with exactly [max 1 max_outcomes] outcomes, as for a
+    fresh session, though possibly a different subset.
     @raise Invalid_argument if a fence pair is not in
     {!fence_sites}. *)
 
 val sc_outcomes : session -> Litmus.outcome list
-(** The SC outcome set (enumerated on first use, then cached — its
-    blocking clauses persist behind a guard for {!robust}). *)
+(** The SC outcome set (taken from an earlier SC answer or enumerated
+    on first use, then cached — its blocking clauses persist behind a
+    guard for {!robust}). *)
 
 val robust :
   session ->
@@ -186,10 +224,17 @@ val robust :
     [`Robust] for every smaller Δ. *)
 
 val session_stats : session -> stats
-(** Cumulative over the session: [outcomes] sums every query's distinct
-    outcomes, [conflicts]/[decisions]/… are the solver's lifetime
+(** Cumulative over the session: [outcomes] and [seeded] sum every
+    query's, [conflicts]/[decisions]/… are the solver's lifetime
     counters (robustness queries included), [elapsed] includes the
     encode. *)
+
+val sweep_on_retire : session -> unit
+(** Make the session's later queries retire their guard the way
+    {!Tbtso_sat.Solver.retire} is specified: the unit [¬guard], then a
+    full {!Tbtso_sat.Solver.simplify} sweep. Answers and every solver
+    counter stay the same; only the time spent differs. It exists as
+    the reference for test_sat's retirement twin. *)
 
 (** {1 One-shot API} *)
 
@@ -227,5 +272,5 @@ val record_stats : Tbtso_obs.Metrics.t -> stats -> unit
 (** Accumulate one oracle run into a registry: counters [sat.paths],
     [sat.vars], [sat.clauses], [sat.solves], [sat.conflicts],
     [sat.decisions], [sat.propagations], [sat.learned], [sat.restarts],
-    [sat.outcomes] and [sat.explorations] sum across calls; gauge
-    [sat.elapsed_s] sums solver CPU time. *)
+    [sat.outcomes], [sat.seeded] and [sat.explorations] sum across
+    calls; gauge [sat.elapsed_s] sums solver CPU time. *)

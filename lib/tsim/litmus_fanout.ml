@@ -292,7 +292,7 @@ let record v =
 
 let json_doc ~registry verdicts =
   let schema =
-    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/4"
+    if List.exists (fun v -> v.sat <> None) verdicts then "tbtso-sat/5"
     else "tbtso-litmus/5"
   in
   Json.obj

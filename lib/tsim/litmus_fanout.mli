@@ -131,8 +131,9 @@ val json_doc : registry:Tbtso_obs.Metrics.t -> verdict list -> Tbtso_obs.Json.t
     explorer-only runs (/5 drops the per-independence-class sleep-skip
     counters [dd_skips], [di_skips] and [ii_skips] from each record's
     [stats], and their [litmus.sleep_skips_*] entries from [totals])
-    and [tbtso-sat/4] (the same drop) when any record
-    carries SAT-oracle data ([--oracle sat] or [--oracle both]):
-    the sat schema extends the litmus record with the ["sat"] object
-    and ["oracles_agree"] flag, and [totals] with the [sat.*] counters
-    of {!Axiomatic.record_stats}. *)
+    and [tbtso-sat/5] when any record carries SAT-oracle data
+    ([--oracle sat] or [--oracle both]): the sat schema extends the
+    litmus record with the ["sat"] object and ["oracles_agree"] flag,
+    and [totals] with the [sat.*] counters of
+    {!Axiomatic.record_stats}. /5 adds the ["seeded"] count to each
+    ["sat"] object's [stats] and [sat.seeded] to [totals]. *)

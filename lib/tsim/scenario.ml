@@ -599,7 +599,7 @@ let report_json r =
 let json_doc ~registry reports =
   Json.obj
     [
-      ("schema", Json.String "tbtso-scenario/3");
+      ("schema", Json.String "tbtso-scenario/4");
       ("scenarios", Json.List (List.map report_json reports));
       ("totals", Tbtso_obs.Metrics.to_json registry);
     ]

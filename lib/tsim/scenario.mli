@@ -233,10 +233,10 @@ val exit_code : report list -> int
 val report_json : report -> Tbtso_obs.Json.t
 
 val json_doc : registry:Tbtso_obs.Metrics.t -> report list -> Tbtso_obs.Json.t
-(** Schema [tbtso-scenario/3]: per-scenario records (each mode with its
+(** Schema [tbtso-scenario/4]: per-scenario records (each mode with its
     expectation, the oracles' answer and the full fanout record) plus
-    the metrics-registry totals. /3 follows the fanout records' drop of
-    the per-class sleep-skip counters ([tbtso-sat/4]). *)
+    the metrics-registry totals. /4 follows the fanout records'
+    ["seeded"] SAT count ([tbtso-sat/5]). *)
 
 val polarity_name : polarity -> string
 (** ["unreachable"] / ["reachable"]. *)

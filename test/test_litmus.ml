@@ -4,6 +4,7 @@
 
 open Tsim
 open Litmus
+open Programs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -191,24 +192,7 @@ let program_gen =
       (list_size (int_range 1 4) instr_gen)
       (list_size (int_range 1 4) instr_gen))
 
-let program_arb =
-  QCheck.make
-    ~print:(fun p ->
-      String.concat " || "
-        (List.map
-           (fun t ->
-             String.concat "; "
-               (List.map
-                  (function
-                    | Store (a, v) -> Printf.sprintf "st x%d=%d" a v
-                    | Load (a, r) -> Printf.sprintf "r%d=ld x%d" r a
-                    | Loadeq (a, v, s) -> Printf.sprintf "ldeq x%d=%d skip %d" a v s
-                    | Fence -> "fence"
-                    | Wait d -> Printf.sprintf "wait %d" d
-                    | Cas (a, e, d, r) -> Printf.sprintf "r%d=cas x%d %d->%d" r a e d)
-                  t))
-           p))
-    program_gen
+let program_arb = QCheck.make ~print:print_program program_gen
 
 let subset o1 o2 = List.for_all (fun o -> List.mem o o2) o1
 
@@ -418,45 +402,6 @@ let prop_sc_subset_tsos =
 
 (* --- Differential testing against the retained reference enumerator --- *)
 
-(* Three-thread programs with slightly longer waits, to exercise the
-   time-leap, slack-saturation and sleep-set machinery of the new
-   explorer against the naive tick-by-tick oracle. *)
-let instr_gen3 =
-  QCheck.Gen.(
-    frequency
-      [
-        (4, map2 (fun a v -> Store (a, 1 + v)) (int_bound 1) (int_bound 2));
-        (4, map2 (fun a r -> Load (a, r)) (int_bound 1) (int_bound 2));
-        (1, return Fence);
-        (1, map (fun d -> Wait (1 + d)) (int_bound 6));
-        (1, map2 (fun a r -> Cas (a, 0, 1, r)) (int_bound 1) (int_bound 2));
-        (1, map2 (fun a s -> Loadeq (a, 0, 1 + s)) (int_bound 1) (int_bound 1));
-      ])
-
-let program_gen3 =
-  QCheck.Gen.(
-    int_range 1 3 >>= fun n ->
-    list_repeat n (list_size (int_range 1 4) instr_gen3))
-
-let program_arb3 =
-  QCheck.make
-    ~print:(fun p ->
-      String.concat " || "
-        (List.map
-           (fun t ->
-             String.concat "; "
-               (List.map
-                  (function
-                    | Store (a, v) -> Printf.sprintf "st x%d=%d" a v
-                    | Load (a, r) -> Printf.sprintf "r%d=ld x%d" r a
-                    | Loadeq (a, v, s) -> Printf.sprintf "ldeq x%d=%d skip %d" a v s
-                    | Fence -> "fence"
-                    | Wait d -> Printf.sprintf "wait %d" d
-                    | Cas (a, e, d, r) -> Printf.sprintf "r%d=cas x%d %d->%d" r a e d)
-                  t))
-           p))
-    program_gen3
-
 (* Every mode, with the TBTSO bound swept over the full Δ ∈ {1..8}
    window the zone caps are derived for. *)
 let diff_modes =
@@ -577,27 +522,6 @@ let test_paper_scale_delta () =
 
 (* --- Corpus differential: zone explorer vs the reference oracle --- *)
 
-let corpus_paths () =
-  (* dune runtest runs in _build/default/test; the corpus is a declared
-     dependency one level up. *)
-  match
-    List.find_opt
-      (fun dir -> Sys.file_exists dir && Sys.is_directory dir)
-      [ "../litmus"; "litmus" ]
-  with
-  | None -> []
-  | Some dir ->
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".litmus")
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_corpus_matches_reference () =
   (* The acceptance bar for the zone abstraction: byte-identical outcome
      sets over the whole corpus, in every mode. *)
@@ -626,8 +550,8 @@ let test_corpus_matches_reference () =
 
 (* The acceptance grid from the issue: the declarative (SAT) oracle and
    the operational explorer must produce identical outcome sets in
-   every mode, over random programs and the whole corpus. *)
-let sat_corpus_modes = [ M_sc; M_tso; M_tbtso 1; M_tbtso 4; M_tbtso 64 ]
+   every mode, over random programs and the whole corpus
+   ([sat_corpus_modes], in Programs). *)
 
 let prop_sat_equals_explorer =
   QCheck.Test.make ~name:"SAT oracle ≡ explore ≡ reference on random programs"
@@ -666,18 +590,6 @@ let test_corpus_matches_sat () =
    algorithms into litmus/gen (see `tbtso-litmus scenarios emit`); the
    committed files get the same three-way oracle treatment as the
    hand-written classics. *)
-let gen_corpus_paths () =
-  match
-    List.find_opt
-      (fun dir -> Sys.file_exists dir && Sys.is_directory dir)
-      [ "../litmus/gen"; "litmus/gen" ]
-  with
-  | None -> []
-  | Some dir ->
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".litmus")
-      |> List.sort compare
-      |> List.map (Filename.concat dir)
 
 let test_gen_corpus_matches_oracles () =
   (* Explorer ≡ reference enumerator ≡ SAT oracle on every generated
@@ -855,8 +767,9 @@ let test_shared_session_matches_fresh () =
 let test_query_stats_sum_to_session () =
   (* Each enumeration reports its own work, not the solver's lifetime
      counters: over a shared session the per-query numbers sum to the
-     session totals, and a complete query makes one solve per outcome
-     plus the closing UNSAT one. *)
+     session totals. A complete query makes one solve per outcome its
+     seeds did not already hold, plus the closing UNSAT one; a repeat of
+     an answered formula makes none. *)
   let sess = Axiomatic.session (tbtso_flag 4) in
   let rs =
     List.map (Axiomatic.enumerate_session sess) (sat_corpus_modes @ [ M_tso ])
@@ -872,14 +785,25 @@ let test_query_stats_sum_to_session () =
       ("propagations", fun s -> s.propagations);
       ("restarts", fun s -> s.restarts);
       ("outcomes", fun s -> s.outcomes);
+      ("seeded", fun s -> s.seeded);
     ];
   check_bool "the run did some conflict analysis" true (total.conflicts > 0);
-  List.iter
-    (fun (r : Axiomatic.result) ->
-      check_int "one solve per outcome, plus one" (r.stats.outcomes + 1)
-        r.stats.solves;
-      check_int "formula size is a session snapshot" total.vars r.stats.vars)
-    [ List.nth rs (List.length rs - 1) ]
+  (* sc, tso, tbtso:1 (= sc), tbtso:4, tbtso:64 (= tso once 64 ≥ H), tso. *)
+  let repeats =
+    [ false; false; true; false; 64 >= Axiomatic.horizon sess; true ]
+  in
+  List.iter2
+    (fun (r : Axiomatic.result) repeat ->
+      if repeat then check_int "a repeat makes no solve" 0 r.stats.solves
+      else
+        check_int "solves = outcomes − seeded + 1"
+          (r.stats.outcomes - r.stats.seeded + 1)
+          r.stats.solves)
+    rs repeats;
+  check_int "formula size is a session snapshot" total.vars
+    (List.nth rs (List.length rs - 1)).stats.vars;
+  check_int "tso is seeded with the sc set"
+    (List.nth rs 0).stats.outcomes (List.nth rs 1).stats.seeded
 
 let test_reduction_regression_windows () =
   (* Two windows on which a partial-order reduction once missed a

@@ -242,8 +242,8 @@ let test_oracle_both_corpus () =
         (Litmus_fanout.exit_code seq_verdicts);
       (match seq_doc with
       | Json.Obj fields ->
-          check_bool "sat runs use schema tbtso-sat/4" true
-            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/4"))
+          check_bool "sat runs use schema tbtso-sat/5" true
+            (List.assoc_opt "schema" fields = Some (Json.String "tbtso-sat/5"))
       | _ -> Alcotest.fail "json_doc not an object");
       (* Each file's modes share one SAT session, so the per-verdict
          sat.stats depend on the order of the file's queries; -j 2 runs

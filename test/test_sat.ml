@@ -221,6 +221,20 @@ let test_incremental_growth () =
 module Ax = Tsim.Axiomatic
 module L = Tsim.Litmus
 
+(* The formula a query is answered from, as answer reuse sees it: SC is
+   the Δ = 1 grid point, and a Δ at or past the horizon is plain TSO. *)
+let formula h = function
+  | L.M_sc -> if h > 1 then `Grid 1 else `Tso
+  | L.M_tso -> `Tso
+  | L.M_tbtso d -> if d >= h then `Tso else `Grid d
+  | L.M_tsos c -> `Cap c
+
+(* The exact solve count of a complete query: none for a repeat of an
+   answered formula, else one per outcome the seeds did not hold plus
+   the closing UNSAT one. *)
+let solve_identity ~repeat (st : Ax.stats) =
+  st.Ax.solves = if repeat then 0 else st.Ax.outcomes - st.Ax.seeded + 1
+
 (* One long-lived session answering every mode × Δ query must produce
    exactly the outcome sets of a fresh solver per query, and the
    retained learned clauses must make each program's sweep cheaper than
@@ -254,9 +268,18 @@ let test_session_vs_scratch () =
     (fun (name, prog, modes) ->
       let sess = Ax.session prog in
       let scratch = ref 0 in
+      let answered = ref [] in
       List.iter
         (fun mode ->
+          let key = formula (Ax.horizon sess) mode in
+          let repeat = List.mem key !answered in
+          answered := key :: !answered;
           let ir = Ax.enumerate_session sess mode in
+          check_bool
+            (Printf.sprintf "%s %s: solves = outcomes − seeded + 1 (0 if repeat)"
+               name (Tsim.Litmus_parse.mode_id mode))
+            true
+            (solve_identity ~repeat ir.Ax.stats);
           let sr = Ax.explore ~mode prog in
           check_bool (name ^ " both complete") true
             (ir.Ax.complete && sr.Ax.complete);
@@ -268,17 +291,269 @@ let test_session_vs_scratch () =
           scratch := !scratch + sr.Ax.stats.Ax.conflicts)
         modes;
       let st = Ax.session_stats sess in
-      (* Learned-clause reuse is observable: the session answered every
-         query (one solve per outcome plus a closing UNSAT each) while
-         keeping one clause database. *)
-      check_bool (name ^ " solves cover all queries") true
-        (st.Ax.solves >= st.Ax.outcomes + List.length modes);
+      (* Over the session: one solve per unseeded outcome plus a closing
+         UNSAT per distinct formula, on one clause database. *)
+      check_int (name ^ " solves = outcomes − seeded + formulas")
+        (st.Ax.outcomes - st.Ax.seeded
+        + List.length (List.sort_uniq compare !answered))
+        st.Ax.solves;
       check_bool
         (Printf.sprintf "%s: strictly fewer conflicts (%d vs scratch %d)" name
            st.Ax.conflicts !scratch)
         true
         (st.Ax.conflicts < !scratch))
     programs
+
+(* --- answer reuse and guard retirement --- *)
+
+type query =
+  | Enum of L.mode * int * int option  (* mode, fence-site mask, budget *)
+  | Robust of L.mode * int
+  | Sc_outcomes
+
+let print_query = function
+  | Enum (m, f, k) ->
+      Printf.sprintf "enum %s fences=%#x%s" (Tsim.Litmus_parse.mode_id m) f
+        (match k with Some k -> Printf.sprintf " max=%d" k | None -> "")
+  | Robust (m, f) ->
+      Printf.sprintf "robust %s fences=%#x" (Tsim.Litmus_parse.mode_id m) f
+  | Sc_outcomes -> "sc_outcomes"
+
+(* Modes in random order, so ascending and descending Δ both occur. *)
+let mode_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return L.M_sc);
+        (1, return L.M_tso);
+        (1, map (fun c -> L.M_tsos c) (int_range 1 2));
+        (4, map (fun d -> L.M_tbtso d) (int_range 1 8));
+      ])
+
+let query_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun m f k -> Enum (m, f, k))
+            mode_gen (int_bound 15)
+            (frequency [ (3, return None); (1, map Option.some (int_range 1 4)) ])
+        );
+        (2, map2 (fun m f -> Robust (m, f)) mode_gen (int_bound 15));
+        (1, return Sc_outcomes);
+      ])
+
+let session_arb =
+  QCheck.make
+    ~print:(fun (p, qs) ->
+      Programs.print_program p ^ "\n"
+      ^ String.concat "\n" (List.map print_query qs))
+    QCheck.Gen.(pair Programs.program_gen3 (list_size (int_range 4 12) query_gen))
+
+let pick_fences sess mask =
+  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Ax.fence_sites sess)
+
+(* The retirement twin: [b] retires by the full sweep, [a] by
+   [Solver.retire]; the formula and every work counter must agree after
+   every query. *)
+let twin_agrees what a b =
+  let sa = Ax.session_stats a and sb = Ax.session_stats b in
+  List.for_all
+    (fun (field, f) ->
+      f sa = f sb
+      ||
+      (Printf.eprintf "%s: %s %d (retire) vs %d (sweep)\n" what field (f sa)
+         (f sb);
+       false))
+    [
+      ("vars", fun (st : Ax.stats) -> st.Ax.vars);
+      ("clauses", fun st -> st.Ax.clauses);
+      ("learned", fun st -> st.Ax.learned);
+      ("solves", fun st -> st.Ax.solves);
+      ("conflicts", fun st -> st.Ax.conflicts);
+      ("decisions", fun st -> st.Ax.decisions);
+      ("propagations", fun st -> st.Ax.propagations);
+    ]
+
+let sweeping_session p =
+  let sess = Ax.session p in
+  Ax.sweep_on_retire sess;
+  sess
+
+let prop_session_answers_fresh =
+  QCheck.Test.make ~count:60
+    ~name:"a session's answers ≡ fresh sessions', sweep twin in lockstep"
+    session_arb (fun (p, queries) ->
+      let sess = Ax.session p and twin = sweeping_session p in
+      let fresh ?max_outcomes ~fences mode =
+        let f = Ax.session p in
+        Ax.enumerate_session f ~fences:(pick_fences f fences) ?max_outcomes mode
+      in
+      let sc = (fresh ~fences:0 L.M_sc).Ax.outcomes in
+      List.for_all
+        (fun q ->
+          let ok =
+            match q with
+            | Enum (mode, mask, max_outcomes) ->
+                let fences = pick_fences sess mask in
+                let r = Ax.enumerate_session sess ~fences ?max_outcomes mode in
+                let r' = Ax.enumerate_session twin ~fences ?max_outcomes mode in
+                let f = fresh ?max_outcomes ~fences:mask mode in
+                r.Ax.outcomes = r'.Ax.outcomes
+                && r.Ax.complete = f.Ax.complete
+                &&
+                if f.Ax.complete then r.Ax.outcomes = f.Ax.outcomes
+                else
+                  (* A budget-cut answer is some budget-sized subset. *)
+                  let full = (fresh ~fences:mask mode).Ax.outcomes in
+                  List.length r.Ax.outcomes = List.length f.Ax.outcomes
+                  && List.for_all (fun o -> List.mem o full) r.Ax.outcomes
+            | Robust (mode, mask) -> (
+                let fences = pick_fences sess mask in
+                let v = Ax.robust sess ~fences mode in
+                let full = (fresh ~fences:mask mode).Ax.outcomes in
+                v = Ax.robust twin ~fences mode
+                &&
+                match v with
+                | `Robust -> full = sc
+                | `Witness w -> List.mem w full && not (List.mem w sc))
+            | Sc_outcomes -> Ax.sc_outcomes sess = sc && Ax.sc_outcomes twin = sc
+          in
+          ok && twin_agrees (print_query q) sess twin)
+        queries)
+
+let flag w =
+  [ [ L.Store (0, 1); L.Load (1, 0) ];
+    [ L.Store (1, 1); L.Fence; L.Wait w; L.Load (0, 0) ] ]
+
+(* Both corpora, [litmus/] and [litmus/gen/], as (file name, program). *)
+let corpus () =
+  List.map
+    (fun path ->
+      let t = Tsim.Litmus_parse.parse (Programs.read_file path) in
+      (Filename.basename path, t.Tsim.Litmus_parse.program))
+    (Programs.corpus_paths () @ Programs.gen_corpus_paths ())
+
+let test_corpus_both_orders () =
+  (* Every answer of a shared session equals a fresh session's over both
+     corpora, with the modes ascending, descending and interleaved, and
+     with no fence or every fence site: Δ-, capacity- and fence-seeding
+     all get to run in both directions. The flag protocol adds programs
+     whose outcome set changes inside the Δ grid. *)
+  let modes =
+    [ L.M_sc; L.M_tso; L.M_tsos 1; L.M_tsos 2; L.M_tbtso 1; L.M_tbtso 2;
+      L.M_tbtso 4; L.M_tbtso 8; L.M_tbtso 64 ]
+  in
+  let orders =
+    [ ("ascending", modes); ("descending", List.rev modes);
+      ("interleaved",
+       List.filteri (fun i _ -> i mod 2 = 1) modes
+       @ List.rev (List.filteri (fun i _ -> i mod 2 = 0) modes)) ]
+  in
+  let programs =
+    corpus ()
+    @ List.map (fun w -> (Printf.sprintf "flag wait=%d" w, flag w)) [ 1; 3; 6 ]
+  in
+  check_bool "corpus found" true (List.length programs > 3);
+  List.iter
+    (fun (name, p) ->
+      let all = Ax.fence_sites (Ax.session p) in
+      let fresh = Hashtbl.create 32 in
+      let fresh_answer fences mode =
+        match Hashtbl.find_opt fresh (fences, mode) with
+        | Some r -> r
+        | None ->
+            let r = Ax.enumerate_session (Ax.session p) ~fences mode in
+            Hashtbl.add fresh (fences, mode) r;
+            r
+      in
+      List.iter
+        (fun (order, modes) ->
+          let sess = Ax.session p in
+          List.iter
+            (fun (fences, mode) ->
+              let r = Ax.enumerate_session sess ~fences mode in
+              let f = fresh_answer fences mode in
+              check_bool
+                (Printf.sprintf "%s, %s, %s%s: shared ≡ fresh" name order
+                   (Tsim.Litmus_parse.mode_id mode)
+                   (if fences = [] then "" else " fenced"))
+                true
+                (r.Ax.complete && f.Ax.complete && r.Ax.outcomes = f.Ax.outcomes))
+            (List.concat_map (fun m -> [ ([], m); (all, m) ]) modes
+            @ List.map (fun m -> ([], m)) (List.rev modes)))
+        orders)
+    programs
+
+let test_retirement_twin () =
+  (* The flag protocols over the paper's Δ grid, both ways round, and
+     the corpus under the CI modes: sweeping after each query and
+     retiring by index must leave identical formulas and work. *)
+  let grid = List.map (fun d -> L.M_tbtso d) [ 4; 8; 16; 32; 64; 128; 256; 512 ] in
+  let flag_runs =
+    List.concat_map
+      (fun (name, p) ->
+        [ (name ^ " ascending", p, grid @ Programs.sat_corpus_modes);
+          (name ^ " descending", p, List.rev (grid @ Programs.sat_corpus_modes)) ])
+      [ ("flag wait=4", flag 4); ("flag wait=64", flag 64);
+        ("flag3 wait=4", flag 4 @ [ [ L.Store (2, 1); L.Load (0, 2) ] ]) ]
+  in
+  let corpus_runs =
+    List.map (fun (name, p) -> (name, p, Programs.sat_corpus_modes)) (corpus ())
+  in
+  check_bool "corpus found" true (corpus_runs <> []);
+  List.iter
+    (fun (name, p, modes) ->
+      let a = Ax.session p and b = sweeping_session p in
+      List.iter
+        (fun mode ->
+          let what = name ^ " " ^ Tsim.Litmus_parse.mode_id mode in
+          let ra = Ax.enumerate_session a mode
+          and rb = Ax.enumerate_session b mode in
+          check_bool (what ^ ": same answer") true (ra.Ax.outcomes = rb.Ax.outcomes);
+          check_bool (what ^ ": same formula and work") true (twin_agrees what a b))
+        modes)
+    (flag_runs @ corpus_runs)
+
+let test_long_session_flat () =
+  (* 300 distinct queries on one session, in a scrambled order: TSO or
+     TBTSO[2] under one of the 256 fence subsets of two four-store
+     threads. Retired guards must leave nothing behind: the mean
+     propagations of the last 100 queries stay within 1.5× those of the
+     first 100 (seeding makes later queries cheaper), and from query 100
+     on, once every activation literal exists, the live clauses grow by
+     exactly the one retirement unit per query. *)
+  let thread a b =
+    [ L.Store (0, 1); L.Store (1, a); L.Store (2, 1); L.Store (3, b);
+      L.Load (b mod 4, 0) ]
+  in
+  let p = [ thread 1 2; thread 2 1 ] in
+  let sess = Ax.session ~addrs:4 p in
+  let sites = Ax.fence_sites sess in
+  check_int "eight fence sites" 8 (List.length sites);
+  let stats =
+    List.init 300 (fun i ->
+        let k = i * 167 mod 512 in
+        let mode = if k land 1 = 0 then L.M_tso else L.M_tbtso 2 in
+        let fences = List.filteri (fun j _ -> (k lsr 1) land (1 lsl j) <> 0) sites in
+        (Ax.enumerate_session sess ~fences mode).Ax.stats)
+  in
+  check_bool "distinct formulas: every query solves" true
+    (List.for_all (fun (st : Ax.stats) -> st.Ax.solves > 0) stats);
+  let mean l =
+    float (List.fold_left (fun a (st : Ax.stats) -> a + st.Ax.propagations) 0 l)
+    /. float (List.length l)
+  in
+  let first = mean (List.filteri (fun i _ -> i < 100) stats)
+  and last = mean (List.filteri (fun i _ -> i >= 200) stats) in
+  check_bool
+    (Printf.sprintf "propagations per query flat: first 100 %.0f, last 100 %.0f"
+       first last)
+    true
+    (last <= 1.5 *. first);
+  let clauses i = (List.nth stats i).Ax.clauses in
+  check_int "one live clause per retired query" 200 (clauses 299 - clauses 99)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -295,6 +570,12 @@ let () =
             test_incremental_growth;
           Alcotest.test_case "axiomatic session vs from-scratch sweep" `Quick
             test_session_vs_scratch;
+          Alcotest.test_case "corpus answers ≡ fresh, in every mode order"
+            `Quick test_corpus_both_orders;
+          Alcotest.test_case "retirement twin: index vs sweep" `Quick
+            test_retirement_twin;
+          Alcotest.test_case "300-query session stays flat" `Quick
+            test_long_session_flat;
         ] );
       qsuite "differential"
         [
@@ -302,5 +583,6 @@ let () =
           prop_model_enumeration;
           prop_assumptions;
           prop_learned_entailed;
+          prop_session_answers_fresh;
         ];
     ]

@@ -222,8 +222,8 @@ let test_json_schema () =
   let subset = List.filter (fun s -> s.Scenario.name = "flag_principle") Scenario.registry in
   let reports = Scenario.check ~oracle:Litmus_fanout.Explorer subset in
   let doc = Scenario.json_doc ~registry:(Tbtso_obs.Metrics.create ()) reports in
-  check_bool "schema tbtso-scenario/3" true
-    (Tbtso_obs.Json.member "schema" doc = Some (Tbtso_obs.Json.String "tbtso-scenario/3"));
+  check_bool "schema tbtso-scenario/4" true
+    (Tbtso_obs.Json.member "schema" doc = Some (Tbtso_obs.Json.String "tbtso-scenario/4"));
   let text = Tbtso_obs.Json.to_string doc in
   List.iter
     (fun field ->

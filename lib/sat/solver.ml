@@ -41,11 +41,24 @@ type ivec = { mutable idata : int array; mutable isz : int }
 
 let ivec_make () = { idata = [||]; isz = 0 }
 
+(* Typed copies. [Array.blit] is a C call that runs the write barrier on
+   every word once the destination is in the major heap; these loops
+   store plain words. *)
+let blit_ints (src : int array) (dst : int array) len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst k (Array.unsafe_get src k)
+  done
+
+let blit_bools (src : bool array) (dst : bool array) len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst k (Array.unsafe_get src k)
+  done
+
 let ivec_push v x =
   let cap = Array.length v.idata in
   if v.isz = cap then begin
     let d = Array.make (max 8 (2 * cap)) 0 in
-    Array.blit v.idata 0 d 0 v.isz;
+    blit_ints v.idata d v.isz;
     v.idata <- d
   end;
   v.idata.(v.isz) <- x;
@@ -58,7 +71,7 @@ let ivec_push2 v x y =
   let cap = Array.length v.idata in
   if v.isz + 2 > cap then begin
     let d = Array.make (max 8 (max (v.isz + 2) (2 * cap))) 0 in
-    Array.blit v.idata 0 d 0 v.isz;
+    blit_ints v.idata d v.isz;
     v.idata <- d
   end;
   let i = v.isz in
@@ -75,9 +88,13 @@ let ivec_reserve v extra =
   let cap = Array.length v.idata in
   if need > cap then begin
     let d = Array.make (max 8 (max need (2 * cap))) 0 in
-    Array.blit v.idata 0 d 0 v.isz;
+    blit_ints v.idata d v.isz;
     v.idata <- d
   end
+
+(* The filler of unclaimed watch slots. Never read or written: every
+   access to [watches] is by the literal of an existing variable. *)
+let no_watches = ivec_make ()
 
 type stats = {
   solves : int;
@@ -102,7 +119,9 @@ type t = {
   mutable phase : bool array;
   mutable seen : bool array;  (* conflict-analysis scratch *)
   mutable model : int array;  (* snapshot of [assign] after SAT *)
-  mutable watches : ivec array;  (* indexed by literal; (cref, blocker)* *)
+  mutable watches : ivec array;
+      (* indexed by literal; (cref, blocker)*. Slots at or past
+         [2 * nvars] hold [no_watches] until [new_var] claims them. *)
   (* Trail. *)
   mutable trail : lit array;
   mutable trail_sz : int;
@@ -220,7 +239,7 @@ let ca_ensure s extra =
       newcap := 2 * !newcap
     done;
     let d = Array.make !newcap 0 in
-    Array.blit s.ca 0 d 0 s.ca_used;
+    blit_ints s.ca d s.ca_used;
     s.ca <- d
   end
 
@@ -237,7 +256,7 @@ let grow_int a n fill =
   let cap = Array.length !a in
   if n > cap then begin
     let d = Array.make (max 16 (max n (2 * cap))) fill in
-    Array.blit !a 0 d 0 cap;
+    blit_ints !a d cap;
     a := d
   end
 
@@ -314,26 +333,31 @@ let new_var s =
   (let cap = Array.length s.phase in
    if v >= cap then begin
      let d = Array.make (max 16 (2 * max 1 cap)) false in
-     Array.blit s.phase 0 d 0 cap;
+     blit_bools s.phase d cap;
      s.phase <- d
    end);
   (let cap = Array.length s.seen in
    if v >= cap then begin
      let d = Array.make (max 16 (2 * max 1 cap)) false in
-     Array.blit s.seen 0 d 0 cap;
+     blit_bools s.seen d cap;
      s.seen <- d
    end);
   (let want = 2 * (v + 1) in
    let cap = Array.length s.watches in
    if want > cap then begin
+     (* Grown from [no_watches], an old value: a young initial value
+        would make [Array.make] force a minor collection once the array
+        is too large for the minor heap. *)
      let ncap = max 32 (max want (2 * cap)) in
-     let d = Array.init ncap (fun _ -> ivec_make ()) in
+     let d = Array.make ncap no_watches in
      Array.blit s.watches 0 d 0 cap;
      s.watches <- d;
      let m = Array.make ncap false in
-     Array.blit s.lit_mark 0 m 0 (Array.length s.lit_mark);
+     blit_bools s.lit_mark m (Array.length s.lit_mark);
      s.lit_mark <- m
    end);
+  s.watches.(2 * v) <- ivec_make ();
+  s.watches.((2 * v) + 1) <- ivec_make ();
   (let cap = Array.length s.guard_occ in
    if v >= cap then begin
      let d = Array.make (max 16 (2 * cap)) None in
@@ -378,7 +402,7 @@ let new_level s =
   (let cap = Array.length s.trail_lim in
    if s.n_levels >= cap then begin
      let d = Array.make (max 16 (2 * max 1 cap)) 0 in
-     Array.blit s.trail_lim 0 d 0 cap;
+     blit_ints s.trail_lim d cap;
      s.trail_lim <- d
    end);
   s.trail_lim.(s.n_levels) <- s.trail_sz;
@@ -427,7 +451,7 @@ let attach s cref =
    of the axiomatic encode) reserve once instead of doubling through
    the attach loop. No-op on semantics. *)
 let reserve_watch s l n =
-  if l >= 0 && l < Array.length s.watches then
+  if l >= 0 && l < 2 * s.nvars then
     ivec_reserve s.watches.(l) (2 * n)
 
 (* Unit propagation. Returns the conflicting clause, or [cref_undef] if
@@ -762,7 +786,7 @@ let solve ?(assumptions = []) s =
         match pick_branch s with
         | -1 ->
             (* Full model. *)
-            Array.blit s.assign 0 s.model 0 s.nvars;
+            blit_ints s.assign s.model s.nvars;
             result := Some true
         | v ->
             s.decisions <- s.decisions + 1;
@@ -817,30 +841,36 @@ let compact_watches ws drop =
   !dropped
 
 (* Compact the learned set, in order: entries already removed leave
-   uncounted, and [drop] selects more; returns how many it took. *)
+   uncounted, and [drop] selects more; returns how many it took and how
+   many of those were unit clauses. *)
 let compact_learnts s drop =
   let lv = s.learnts in
   let j = ref 0 in
-  let dropped = ref 0 in
+  let dropped = ref 0 and units = ref 0 in
   for i = 0 to lv.isz - 1 do
     let cref = lv.idata.(i) in
     if clause_removed s.ca cref then ()
-    else if drop cref then incr dropped
+    else if drop cref then begin
+      incr dropped;
+      if clause_size s.ca cref = 1 then incr units
+    end
     else begin
       lv.idata.(!j) <- cref;
       incr j
     end
   done;
   lv.isz <- !j;
-  !dropped
+  (!dropped, !units)
 
 (* Counters after dropping clauses: [watch_entries] watch-list entries
-   (two per attached clause) and [learnt] learned clauses, unit ones
-   included. *)
-let account_dropped s ~watch_entries ~learnt =
+   (two per attached clause, problem or learned) and [learnt] learned
+   clauses, of which [units] are unit clauses. A learned unit is never
+   attached, so the problem clauses dropped are the attached clauses
+   less the attached learned ones. *)
+let account_dropped s ~watch_entries ~learnt ~units =
   let dropped = watch_entries / 2 in
   s.n_learned <- s.n_learned - learnt;
-  s.n_clauses <- s.n_clauses - (dropped - learnt);
+  s.n_clauses <- s.n_clauses - (dropped - (learnt - units));
   s.n_removed <- s.n_removed + dropped
 
 (* The sweep: every watch list and the learned set. Learned clauses a
@@ -859,10 +889,12 @@ let simplify_work s =
              true
            end
       in
-      let learnt = compact_learnts s drop in
+      let learnt, units = compact_learnts s drop in
       let removed = ref 0 in
-      Array.iter (fun ws -> removed := !removed + compact_watches ws drop) s.watches;
-      account_dropped s ~watch_entries:!removed ~learnt;
+      for l = 0 to (2 * s.nvars) - 1 do
+        removed := !removed + compact_watches s.watches.(l) drop
+      done;
+      account_dropped s ~watch_entries:!removed ~learnt ~units;
       s.swept <- s.trail_sz
     end
 
@@ -886,12 +918,15 @@ let drop_indexed s occ =
   let ca = s.ca in
   let dirty = s.tmp_dirty in
   dirty.isz <- 0;
-  let dropped_learnt = ref 0 in
+  let dropped_learnt = ref 0 and units = ref 0 in
   for k = 0 to occ.isz - 1 do
     let cref = occ.idata.(k) in
     if not (clause_removed ca cref) then begin
       mark_removed ca cref;
-      if clause_learnt ca cref then incr dropped_learnt;
+      if clause_learnt ca cref then begin
+        incr dropped_learnt;
+        if clause_size ca cref = 1 then incr units
+      end;
       if clause_size ca cref >= 2 then
         for w = 1 to 2 do
           let l = ca.(cref + w) in
@@ -908,29 +943,37 @@ let drop_indexed s occ =
     s.lit_mark.(l) <- false;
     removed := !removed + compact_watches s.watches.(l) (clause_removed ca)
   done;
-  account_dropped s ~watch_entries:!removed ~learnt:!dropped_learnt;
+  account_dropped s ~watch_entries:!removed ~learnt:!dropped_learnt
+    ~units:!units;
   (* The learned set keeps removed entries until they outnumber the
      live ones; compacting it then is amortised O(1) per clause. *)
   if s.learnts.isz > (2 * s.n_learned) + 64 then
-    ignore (compact_learnts s (fun _ -> false))
+    ignore (compact_learnts s (fun _ -> false) : int * int)
 
 (* Fast path: the database was clean at [swept] (no live clause
    satisfied by a root literal), and the one root literal assigned since,
    once [¬g] is added and propagated, is [¬g] itself — added here, or
    learned as a unit by the query's closing solve. Then the clauses the
    sweep would drop are exactly those containing [¬g], all of which the
-   guard index lists. Otherwise sweep. *)
-let retire_work s g =
+   guard index lists. Otherwise, or when [sweep] asks for it, sweep.
+
+   The retirement unit counts as one problem clause even when [¬g] is
+   already a root fact, which [add_clause] would skip as satisfied: the
+   [clauses] count then does not depend on what the search learned. *)
+let retire_work ~sweep s g =
   cancel_until s 0;
   let v = lit_var g in
   let occ = if lit_sign g then s.guard_occ.(v) else None in
-  add_clause s [ negate g ];
+  if s.ok && lit_val s (negate g) = 1 then s.n_clauses <- s.n_clauses + 1
+  else add_clause s [ negate g ];
   (if s.ok then
      if propagate s <> cref_undef then s.ok <- false
      else
        match occ with
        | Some occ
-         when s.trail_sz = s.swept + 1 && s.trail.(s.swept) = negate g ->
+         when (not sweep)
+              && s.trail_sz = s.swept + 1
+              && s.trail.(s.swept) = negate g ->
            drop_indexed s occ;
            s.swept <- s.trail_sz
        | _ -> simplify_work s);
@@ -939,10 +982,10 @@ let retire_work s g =
     s.live_guards <- s.live_guards - 1
   end
 
-let retire s g =
+let retire ?(sweep = false) s g =
   Span.start s.ph_simplify;
   let r0 = s.n_removed in
-  retire_work s g;
+  retire_work ~sweep s g;
   Span.stop s.ph_simplify;
   Span.items s.ph_simplify (s.n_removed - r0)
 
@@ -956,6 +999,10 @@ let stats s =
     restarts = s.restarts;
     removed = s.n_removed;
   }
+
+type watch_list = ivec
+
+let watch_list s l = s.watches.(l)
 
 let learned_clauses s =
   let ca = s.ca in

@@ -53,8 +53,10 @@ val n_vars : t -> int
 
 val n_clauses : t -> int
 (** Problem clauses added (after root-level simplification; satisfied and
-    tautological clauses are not counted). Learned clauses are separate —
-    see {!stats}. *)
+    tautological clauses are not counted, except {!retire}'s unit) less
+    those {!simplify} and {!retire} dropped. Learned clauses are
+    separate — see {!stats} — and dropping one never moves this
+    count. *)
 
 val add_clause : t -> lit list -> unit
 (** Add a clause (at the root level; any ongoing solve's trail was rewound
@@ -139,10 +141,12 @@ val new_guard : t -> lit
     live. A guard is an ordinary variable in every other respect:
     creating one changes no search. *)
 
-val retire : t -> lit -> unit
+val retire : ?sweep:bool -> t -> lit -> unit
 (** [retire s g] has exactly the effect of [add_clause s [negate g];
-    simplify s] — same clauses dropped, same counters — but usually
-    without the sweep. When the database was clean after the last
+    simplify s] — same clauses dropped, same counters, except that the
+    unit [¬g] always counts as one problem clause, even when the query
+    learned it as a root unit — but usually without the sweep. When
+    the database was clean after the last
     sweep or retirement (no live clause satisfied by a root literal),
     nothing has been assigned at the root since, and propagating [¬g]
     at the root assigns nothing besides [¬g], the clauses to drop are
@@ -152,8 +156,16 @@ val retire : t -> lit -> unit
     lengths of those watch lists). In every other case it falls back to
     the full sweep: a root unit learned during the query, a clause
     added since that assigned a root literal, a [¬g] that propagates
-    further, or a [g] that did not come from {!new_guard}. Runs in the
-    [sat.simplify] phase. *)
+    further, or a [g] that did not come from {!new_guard}. [~sweep:true]
+    (default [false]) always sweeps: the reference the fast path is
+    tested against. Runs in the [sat.simplify] phase. *)
+
+type watch_list
+
+val watch_list : t -> lit -> watch_list
+(** The literal's watch list, an opaque handle for tests: {!new_var}
+    must keep every existing list when it grows the watch array, which
+    [==] between handles taken before and after checks. *)
 
 val learned_clauses : t -> lit list list
 (** The learned clauses, for invariant checks in tests: each must be a

@@ -23,6 +23,14 @@ type t = {
   mutable size : int;
 }
 
+(* [Array.blit] is a C call that runs the write barrier on every word
+   once the destination lives in the major heap; a typed loop over int
+   arrays stores plain words. *)
+let blit_ints (src : int array) so (dst : int array) d len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst (d + k) (Array.unsafe_get src (so + k))
+  done
+
 let grow a need fill =
   let cap = Array.length a in
   if need <= cap then a
@@ -32,7 +40,7 @@ let grow a need fill =
       c := 2 * !c
     done;
     let a' = Array.make !c fill in
-    Array.blit a 0 a' 0 cap;
+    blit_ints a 0 a' 0 cap;
     a'
   end
 
@@ -71,12 +79,21 @@ let scratch t =
   }
 
 let copy ~src ~dst =
-  Array.blit src.s_mem 0 dst.s_mem 0 (Array.length src.s_mem);
-  Array.blit src.s_pc 0 dst.s_pc 0 (Array.length src.s_pc);
-  Array.blit src.s_wait 0 dst.s_wait 0 (Array.length src.s_wait);
-  Array.blit src.s_len 0 dst.s_len 0 (Array.length src.s_len);
-  Array.blit src.s_regs 0 dst.s_regs 0 (Array.length src.s_regs);
-  Array.blit src.s_buf 0 dst.s_buf 0 (Array.length src.s_buf)
+  let all a b = blit_ints a 0 b 0 (Array.length a) in
+  all src.s_mem dst.s_mem;
+  all src.s_pc dst.s_pc;
+  all src.s_wait dst.s_wait;
+  all src.s_len dst.s_len;
+  all src.s_regs dst.s_regs;
+  all src.s_buf dst.s_buf
+
+let clear s =
+  let zero a = Array.fill a 0 (Array.length a) 0 in
+  zero s.s_mem;
+  zero s.s_pc;
+  zero s.s_wait;
+  zero s.s_len;
+  zero s.s_regs
 
 let newest s i a =
   let b = s.s_base.(i) in
@@ -146,7 +163,7 @@ let add t klen h slot =
   end;
   let off = t.used in
   if off + klen > Array.length t.words then t.words <- grow t.words (off + klen) 0;
-  Array.blit t.key 0 t.words off klen;
+  blit_ints t.key 0 t.words off klen;
   t.used <- off + klen;
   t.off.(id) <- off;
   t.klen.(id) <- klen;
@@ -218,6 +235,23 @@ let decode t id dst =
   done
 
 let size t = t.size
+
+(* Empty the table slot by slot: each id's slot is on its probe path
+   from its cached hash, so clearing costs O(ids · probe length), not
+   O(table capacity). Probing skips the slots already cleared. *)
+let reset t =
+  let tbl = t.table in
+  let mask = Array.length tbl - 1 in
+  for id = 0 to t.size - 1 do
+    let slot = ref (t.hash.(id) land mask) in
+    while Array.unsafe_get tbl !slot <> id + 1 do
+      slot := (!slot + 1) land mask
+    done;
+    Array.unsafe_set tbl !slot 0;
+    t.sleeps.(id) <- -1
+  done;
+  t.used <- 0;
+  t.size <- 0
 
 let sleep t id = t.sleeps.(id)
 

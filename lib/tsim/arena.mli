@@ -16,7 +16,12 @@
     was last expanded with.
 
     Every buffer starts small and doubles on demand: most explorations
-    visit tens to hundreds of states. *)
+    visit tens to hundreds of states. An arena depends only on its
+    layout, not on the memory model, so one serves every mode of a
+    litmus file ({!Litmus.scratch}): {!reset} empties it for the next
+    mode and keeps the grown buffers. Copies between its int arrays
+    are typed loops, never [Array.blit], whose write barrier runs on
+    every word of a major-heap destination. *)
 
 type state = {
   s_mem : int array;  (** Memory cells. *)
@@ -46,6 +51,11 @@ val scratch : t -> state
 val copy : src:state -> dst:state -> unit
 (** Overwrite [dst] with [src]; both must come from the same arena. *)
 
+val clear : state -> unit
+(** Set the state back to the initial one of {!scratch}: every cell,
+    pc, wait, buffer length and register 0. Stale buffer words are
+    left; they are never read. *)
+
 val newest : state -> int -> int -> int
 (** [newest s i a] is the index in [s.s_buf] of thread [i]'s newest
     buffered store to address [a], or [-1] if it buffers none. *)
@@ -59,6 +69,13 @@ val decode : t -> int -> state -> unit
 
 val size : t -> int
 (** Number of distinct states interned. *)
+
+val reset : t -> unit
+(** Forget every interned state: the next {!intern} returns the ids a
+    fresh arena of the same layout would. Runs in O(states interned)
+    (each id's table slot is found again from its cached hash), not
+    O(capacity), and keeps the key store, table and per-id arrays at
+    the size they grew to. *)
 
 val sleep : t -> int -> int
 (** The sleep mask [id] was last expanded with; [-1] until it is set. *)

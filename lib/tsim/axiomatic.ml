@@ -117,7 +117,10 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
     | L l ->
         if !c_n = Array.length !cbuf then begin
           let d = Array.make (2 * !c_n) (S.pos 0) in
-          Array.blit !cbuf 0 d 0 !c_n;
+          (* A typed loop, not [Array.blit]: no write barrier. *)
+          for k = 0 to !c_n - 1 do
+            d.(k) <- !cbuf.(k)
+          done;
           cbuf := d
         end;
         !cbuf.(!c_n) <- l;
@@ -190,9 +193,9 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
   let tri_or = function
     | [] -> F
     | [ e ] -> e
-    | es when List.mem T es -> T
+    | es when List.exists (function T -> true | F | L _ -> false) es -> T
     | es -> (
-        match List.filter (fun e -> e <> F) es with
+        match List.filter (function F -> false | T | L _ -> true) es with
         | [] -> F
         | [ e ] -> e
         | es ->
@@ -213,7 +216,8 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
       in
       ex.(i).(k) <- tri_or (List.map snd es);
       List.iter
-        (fun (j, e) -> if e <> F then edges := (i, j, k, e) :: !edges)
+        (fun (j, e) ->
+          match e with F -> () | T | L _ -> edges := (i, j, k, e) :: !edges)
         es
     done
   done;
@@ -287,13 +291,21 @@ let session ?(addrs = 4) ?(regs = 4) ?(profiler = Span.disabled) programs =
      every constraint family below iterates over all H time slots per
      event pair, so allocating a fresh [L _] on each [o] call dominated
      the whole encode. *)
-  let tl =
-    Array.init nev (fun _ ->
-        Array.init (max 0 (h - 1)) (fun _ -> L (S.pos (S.new_var s))))
-  in
-  let tln =
-    Array.map (Array.map (function L l -> L (S.negate l) | t -> t)) tl
-  in
+  (* Each rung row is made with the immediate [F] and then filled:
+     [Array.init] or [Array.map] would start a row longer than the minor
+     heap's largest block from a young [L _] and force a minor
+     collection per event. Variables are numbered in the same order. *)
+  let tl = Array.make nev [||] and tln = Array.make nev [||] in
+  for e = 0 to nev - 1 do
+    let row = Array.make (max 0 (h - 1)) F and nrow = Array.make (max 0 (h - 1)) F in
+    for t = 0 to h - 2 do
+      let l = S.pos (S.new_var s) in
+      row.(t) <- L l;
+      nrow.(t) <- L (S.negate l)
+    done;
+    tl.(e) <- row;
+    tln.(e) <- nrow
+  done;
   let o e t = if t <= 0 then F else if t >= h then T else tl.(e).(t - 1) in
   (* [no e t] ≡ [ntri (o e t)], allocation-free. *)
   let no e t = if t <= 0 then T else if t >= h then F else tln.(e).(t - 1) in
@@ -1073,12 +1085,7 @@ let sweep_on_retire sess = sess.sweep <- true
    resolved against them) become permanently satisfied and are
    reclaimed; mode-independent learned clauses survive for the next
    query. *)
-let retire sess q =
-  if sess.sweep then begin
-    S.add_clause sess.s [ S.negate q ];
-    S.simplify sess.s
-  end
-  else S.retire sess.s q
+let retire sess q = S.retire ~sweep:sess.sweep sess.s q
 
 let enumerate_session sess ?(fences = []) ?(max_outcomes = default_max_outcomes)
     mode =

@@ -232,9 +232,10 @@ val session_stats : session -> stats
 val sweep_on_retire : session -> unit
 (** Make the session's later queries retire their guard the way
     {!Tbtso_sat.Solver.retire} is specified: the unit [¬guard], then a
-    full {!Tbtso_sat.Solver.simplify} sweep. Answers and every solver
-    counter stay the same; only the time spent differs. It exists as
-    the reference for test_sat's retirement twin. *)
+    full {!Tbtso_sat.Solver.simplify} sweep
+    ([Solver.retire ~sweep:true]). Answers and every solver counter
+    stay the same; only the time spent differs. It exists as the
+    reference for test_sat's retirement twin. *)
 
 (** {1 One-shot API} *)
 

@@ -184,7 +184,14 @@ type explorer = {
   mutable exhausted : bool;
 }
 
-let create ~mode ~addrs ~regs ~profiler programs =
+(* The per-file scratch is an explorer record used as a template: every
+   buffer in it depends on the program alone (the arena's layout comes
+   from the cells, registers and per-thread store counts), so each
+   exploration copies the record, sets the mode-dependent fields and
+   counters, and writes the grown worklist back. *)
+type scratch = explorer
+
+let create ~addrs ~regs programs =
   let programs = Array.of_list (List.map Array.of_list programs) in
   let n = Array.length programs in
   let rest = Array.map rest_of programs in
@@ -194,25 +201,26 @@ let create ~mode ~addrs ~regs ~profiler programs =
     Arena.create ~addrs ~regs ~bufcap:(Array.map (fun r -> r.stores.(0)) rest)
   in
   let max_timers = n + Array.fold_left (fun acc r -> acc + r.stores.(0)) 0 rest in
+  let off = Span.phase Span.disabled "explore.expand" in
   {
-    mode;
+    mode = M_sc;
     programs;
     n;
     nregs = regs;
     rest;
     arena;
-    indep = Array.map (Array.map (step_of mode)) programs;
+    indep = [||];
     a = Arena.scratch arena;
     b = Arena.scratch arena;
     c = Arena.scratch arena;
     z_kinds = Array.make (max max_timers 1) Zone.Wake;
     z_vals = Array.make (max max_timers 1) 0;
     z_scratch = Array.make (max (2 * max_timers) 1) 0;
-    found = Hashtbl.create 64;
-    ph_expand = Span.phase profiler "explore.expand";
-    ph_canon = Span.phase profiler "explore.canon";
-    ph_intern = Span.phase profiler "explore.intern";
-    ph_sleep = Span.phase profiler "explore.sleep";
+    found = Hashtbl.create 1;
+    ph_expand = off;
+    ph_canon = off;
+    ph_intern = off;
+    ph_sleep = off;
     wl_id = Array.make 128 0;
     wl_sleep = Array.make 128 0;
     wl_sp = 0;
@@ -224,6 +232,23 @@ let create ~mode ~addrs ~regs ~profiler programs =
     time_leaps = 0;
     sleep_skips = 0;
     exhausted = false;
+  }
+
+(* A fresh exploration of [sc]'s program under [mode]: the arena is
+   emptied in O(states it interned) and the child scratch set back to
+   the all-zero initial state that [run] pushes first. *)
+let start (sc : scratch) ~mode ~profiler =
+  Arena.reset sc.arena;
+  Arena.clear sc.c;
+  {
+    sc with
+    mode;
+    indep = Array.map (Array.map (step_of mode)) sc.programs;
+    found = Hashtbl.create 64;
+    ph_expand = Span.phase profiler "explore.expand";
+    ph_canon = Span.phase profiler "explore.canon";
+    ph_intern = Span.phase profiler "explore.intern";
+    ph_sleep = Span.phase profiler "explore.sleep";
   }
 
 (* In-place [age_by k] on a scratch state: false when some buffered
@@ -492,7 +517,10 @@ let expand ex sleep =
              Arena.copy ~src:b ~dst:c;
              c.s_mem.(e_addr) <- c.s_buf.(eb + 1);
              let l = c.s_len.(i) in
-             Array.blit c.s_buf (eb + 3) c.s_buf eb (3 * (l - 1));
+             (* A typed loop, not [Array.blit]: no write barrier. *)
+             for k = eb to eb + (3 * (l - 1)) - 1 do
+               c.s_buf.(k) <- c.s_buf.(k + 3)
+             done;
              c.s_len.(i) <- l - 1;
              push ex
                (child_sleep ex !explored ~acting:i ~drain:true
@@ -560,12 +588,13 @@ let run ex ~max_states =
     end
   done
 
-let explore ~mode ?(addrs = 4) ?(regs = 4) ?(max_states = default_max_states)
-    ?(profiler = Span.disabled) programs =
-  validate ~who:"Litmus.explore" ~addrs ~regs programs;
+let explore_in (sc : scratch) ~mode ?(max_states = default_max_states)
+    ?(profiler = Span.disabled) () =
   let t0 = Sys.time () in
-  let ex = create ~mode ~addrs ~regs ~profiler programs in
+  let ex = start sc ~mode ~profiler in
   run ex ~max_states;
+  sc.wl_id <- ex.wl_id;
+  sc.wl_sleep <- ex.wl_sleep;
   {
     outcomes = List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) ex.found []);
     complete = not ex.exhausted;
@@ -581,6 +610,14 @@ let explore ~mode ?(addrs = 4) ?(regs = 4) ?(max_states = default_max_states)
         elapsed = Sys.time () -. t0;
       };
   }
+
+let scratch ?(addrs = 4) ?(regs = 4) programs =
+  validate ~who:"Litmus.scratch" ~addrs ~regs programs;
+  create ~addrs ~regs programs
+
+let explore ~mode ?(addrs = 4) ?(regs = 4) ?max_states ?profiler programs =
+  validate ~who:"Litmus.explore" ~addrs ~regs programs;
+  explore_in (create ~addrs ~regs programs) ~mode ?max_states ?profiler ()
 
 let enumerate ~mode ?addrs ?regs ?(max_states = default_max_states) programs =
   let r = explore ~mode ?addrs ?regs ~max_states programs in

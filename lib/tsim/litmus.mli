@@ -144,7 +144,41 @@ val explore :
     of the other three; items count expansions, canonicalizations,
     hash-cons probes and sleep-set computations. Profiling never
     affects the exploration itself: outcome sets and statistics are
-    identical whether the profiler is enabled, disabled or absent. *)
+    identical whether the profiler is enabled, disabled or absent.
+
+    The one-shot form of {!explore_in}: it builds a {!scratch} for this
+    call alone. *)
+
+type scratch
+(** An explorer's per-program buffers: the {!Arena} (key store, intern
+    table and per-id arrays), the scratch states, and the zone and
+    worklist buffers. All of them depend on the program and its [addrs]
+    and [regs] alone, not on the mode, so a caller that explores one
+    program under several modes (as {!Litmus_fanout.check} does for
+    each file) builds them once. Not thread-safe: one exploration at a
+    time, on one domain. Nothing outlives the scratch; drop it with the
+    program. *)
+
+val scratch : ?addrs:int -> ?regs:int -> instr list list -> scratch
+(** Buffers for exploring the program; [addrs] and [regs] default to
+    4, as in {!explore}.
+    @raise Invalid_argument on a program {!validate} rejects. *)
+
+val explore_in :
+  scratch ->
+  mode:mode ->
+  ?max_states:int ->
+  ?profiler:Tbtso_obs.Span.t ->
+  unit ->
+  result
+(** [explore_in sc ~mode ()] is [explore ~mode] over [sc]'s program,
+    reusing its buffers: the same outcomes, [complete] flag and
+    counters (all but [elapsed]) whatever explorations ran on [sc]
+    before, in any mode order and whether or not they were cut by
+    [max_states]. Each call first empties the arena in O(states the
+    previous exploration interned), not O(capacity), so a small
+    exploration after a large one pays nothing for the large one's
+    table. *)
 
 val enumerate :
   mode:mode ->

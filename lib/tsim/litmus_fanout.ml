@@ -84,7 +84,7 @@ let check ?pool ?max_states ?(oracle = Explorer)
      domain the pool hands its file to, so a profiled [-j N] check shows
      the schedule across domain tracks. *)
   let files = group_by_file tasks in
-  let one sess task =
+  let one sess scr task =
     Tbtso_obs.Span.with_span profiler
       (Printf.sprintf "%s:%s"
          (Filename.basename task.path)
@@ -94,14 +94,14 @@ let check ?pool ?max_states ?(oracle = Explorer)
       if robust then Some (robust_of (Lazy.force sess) task.mode) else None
     in
     let sat () = Axiomatic.enumerate_session (Lazy.force sess) task.mode in
+    let explore () =
+      Litmus.explore_in (Lazy.force scr) ~mode:task.mode ?max_states ~profiler ()
+    in
     match oracle with
     | Explorer ->
         {
           task;
-          result =
-            Some
-              (Litmus_parse.check ?max_states ~profiler task.test
-                 ~mode:task.mode);
+          result = Some (Litmus_parse.check_explored task.test (explore ()));
           sat = None;
           disagree = None;
           robustness;
@@ -115,10 +115,7 @@ let check ?pool ?max_states ?(oracle = Explorer)
           robustness;
         }
     | Both ->
-        let op =
-          Litmus.explore ~mode:task.mode ?max_states ~profiler
-            task.test.Litmus_parse.program
-        in
+        let op = explore () in
         let sx = sat () in
         (* A partial exploration is a sound subset for either oracle, so
            a disagreement is provable whenever an outcome escapes a
@@ -148,10 +145,10 @@ let check ?pool ?max_states ?(oracle = Explorer)
   let run_file = function
     | [] -> []
     | (_, t0) :: _ as its ->
-        let sess =
-          lazy (Axiomatic.session ~profiler t0.test.Litmus_parse.program)
-        in
-        List.map (fun (i, t) -> (i, one sess t)) its
+        let program = t0.test.Litmus_parse.program in
+        let sess = lazy (Axiomatic.session ~profiler program) in
+        let scr = lazy (Litmus.scratch program) in
+        List.map (fun (i, t) -> (i, one sess scr t)) its
   in
   let scattered =
     match pool with

@@ -80,7 +80,11 @@ val check :
     a file — each mode's {!Axiomatic.enumerate_session} and each
     {!Axiomatic.robust} — runs on one {!Axiomatic.session}, built on
     first use, so a file is encoded once whatever the number of modes,
-    and an explorer-only run never encodes. The per-verdict
+    and an explorer-only run never encodes. Every explorer-side mode of
+    a file likewise runs on one {!Litmus.scratch} (arena, scratch
+    states, zone and worklist buffers), built on first use and reset
+    between modes, with results equal to a fresh {!Litmus.explore} per
+    mode; nothing is kept beyond the file. The per-verdict
     [sat_stats] are that query's own work (see {!Axiomatic.stats}).
     With a [pool] the files fan out across its domains (results still
     land in submission order); without one, or with a pool of one

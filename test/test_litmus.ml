@@ -912,18 +912,18 @@ let test_flag_flat_in_delta () =
       ( "flag wait=4",
         (fun _ -> tbtso_flag 4),
         [ 106; 110; 62; 62; 62; 62; 62; 62 ],
-        (133, 388),
-        (132, 381) );
+        (133, 387),
+        (132, 380) );
       ( "flag wait=64",
         (fun _ -> tbtso_flag 64),
         [ 113; 94; 93; 93; 126; 65; 65; 65 ],
-        (613, 1828),
-        (612, 1761) );
+        (613, 1827),
+        (612, 1760) );
       ( "flag wait=Δ",
         tbtso_flag,
         [ 106; 126; 126; 126; 126; 126; 126; 126 ],
-        (133, 388),
-        (4197, 12072) );
+        (133, 387),
+        (4197, 12071) );
     ]
 
 let test_minor_words_per_state () =
@@ -1015,6 +1015,137 @@ let test_explore_budget_partial () =
        ignore (enumerate ~mode:M_tso ~max_states:10 sb);
        false
      with Failure _ -> true)
+
+(* --- One explorer scratch per file --- *)
+
+(* Every stats counter but [elapsed]. *)
+let counters (s : stats) =
+  [ s.visited; s.dedup_hits; s.canon_hits; s.zones_merged; s.max_frontier;
+    s.time_leaps; s.sleep_skips ]
+
+let same_result (a : result) (b : result) =
+  a.outcomes = b.outcomes && a.complete = b.complete
+  && counters a.stats = counters b.stats
+
+let reuse_modes = [ M_sc; M_tso; M_tsos 1; M_tbtso 1; M_tbtso 4; M_tbtso 64 ]
+
+let mode_orders modes =
+  [ ("ascending", modes); ("descending", List.rev modes);
+    ( "interleaved",
+      List.filteri (fun i _ -> i mod 2 = 1) modes
+      @ List.rev (List.filteri (fun i _ -> i mod 2 = 0) modes) ) ]
+
+(* Run [runs] — (mode, budget) pairs — in order on one scratch of [p];
+   the first whose result differs from a fresh [explore]'s, if any. *)
+let reuse_mismatch p runs =
+  let sc = scratch p in
+  let fresh = Hashtbl.create 16 in
+  List.find_opt
+    (fun (mode, max_states) ->
+      let f =
+        match Hashtbl.find_opt fresh (mode, max_states) with
+        | Some f -> f
+        | None ->
+            let f = explore ~mode ?max_states p in
+            Hashtbl.add fresh (mode, max_states) f;
+            f
+      in
+      not (same_result (explore_in sc ~mode ?max_states ()) f))
+    runs
+
+let fail_mismatch what = function
+  | None -> ()
+  | Some (mode, max_states) ->
+      Alcotest.failf "%s: %s%s differs from a fresh exploration" what
+        (Litmus_parse.mode_id mode)
+        (match max_states with Some k -> Printf.sprintf " (max %d)" k | None -> "")
+
+let corpus_programs () =
+  List.map
+    (fun path -> (Filename.basename path, (Litmus_parse.parse (read_file path)).program))
+    (corpus_paths () @ gen_corpus_paths ())
+
+let test_scratch_reuse_corpus () =
+  (* One scratch per file, over the modes in ascending, descending and
+     interleaved order, answers exactly like a fresh [explore] per
+     mode: outcomes, completeness and every counter but [elapsed]. *)
+  let programs = corpus_programs () in
+  check_int "corpus files" 23 (List.length programs);
+  List.iter
+    (fun (name, p) ->
+      List.iter
+        (fun (order, modes) ->
+          fail_mismatch (name ^ ", " ^ order)
+            (reuse_mismatch p (List.map (fun m -> (m, None)) modes)))
+        (mode_orders reuse_modes))
+    programs
+
+let test_scratch_large_then_small () =
+  (* The reset after growth: the corpus file with the most states at
+     TBTSO[4] — its arena's table, key store and per-id arrays grow
+     well past their initial size — explored in its largest mode, then
+     its smallest, then cut by a state budget, then complete again. *)
+  let visited p mode = (explore ~mode p).stats.visited in
+  let name, p, _ =
+    List.fold_left
+      (fun ((_, _, bv) as best) (n, p) ->
+        let v = visited p (M_tbtso 4) in
+        if v > bv then (n, p, v) else best)
+      ("", [], -1) (corpus_programs ())
+  in
+  let by_size =
+    List.sort compare (List.map (fun m -> (visited p m, m)) reuse_modes)
+  in
+  let small = snd (List.hd by_size)
+  and big, large = List.nth by_size (List.length by_size - 1) in
+  check_bool
+    (Printf.sprintf "%s: %d states outgrow the initial 128 ids" name big)
+    true (big > 128);
+  fail_mismatch name
+    (reuse_mismatch p
+       [ (large, None); (small, None); (large, Some 10); (small, Some 3);
+         (large, None); (small, None) ])
+
+let prop_scratch_reuse =
+  QCheck.Test.make ~count:40
+    ~name:"one scratch over every mode order ≡ fresh explore, budget cuts too"
+    program_arb3 (fun p ->
+      List.for_all
+        (fun (_, modes) ->
+          reuse_mismatch p
+            (List.concat_map (fun m -> [ (m, None); (m, Some 4); (m, None) ]) modes)
+          = None)
+        (mode_orders reuse_modes))
+
+let test_request_major_words () =
+  (* One [check ~oracle:Both] request over a corpus file in four modes
+     builds one explorer scratch, not an arena per mode. The words it
+     allocates directly in the major heap — arrays too large for the
+     minor heap: the arena's key store, the solver's clause arena — are
+     an exact, deterministic count: 4,099 for sb.litmus, where an arena
+     per mode made 7,174. *)
+  let path =
+    List.find (fun p -> Filename.basename p = "sb.litmus") (corpus_paths ())
+  in
+  let test = Litmus_parse.parse (read_file path) in
+  let tasks =
+    List.map
+      (fun mode -> { Litmus_fanout.path; test; mode })
+      [ M_sc; M_tso; M_tbtso 4; M_tbtso 8 ]
+  in
+  let run () = Litmus_fanout.check ~oracle:Litmus_fanout.Both tasks in
+  ignore (run ());
+  Gc.full_major ();
+  let _, p0, m0 = Gc.counters () in
+  let verdicts = run () in
+  let _, p1, m1 = Gc.counters () in
+  let direct = m1 -. m0 -. (p1 -. p0) in
+  check_bool "agreeing verdicts" true
+    (List.for_all (fun v -> Litmus_fanout.severity v = `Ok) verdicts);
+  check_bool
+    (Printf.sprintf "%.0f words allocated directly in the major heap ≤ 5,000"
+       direct)
+    true (direct <= 5000.)
 
 (* --- Litmus file parser --- *)
 
@@ -1279,6 +1410,44 @@ let prop_arena_intern_partition =
       Hashtbl.length model > 128 && words > 1024 && agree
       && Arena.size arena = Hashtbl.length model)
 
+let ids_into arena states =
+  let s = Arena.scratch arena in
+  List.map
+    (fun st ->
+      fill_state s st;
+      Arena.intern arena s)
+    states
+
+let prop_arena_reset =
+  QCheck.Test.make ~name:"Arena: reset, then re-intern, gives the ids of a fresh arena"
+    ~count:20 arena_stream_arb (fun (((addrs, regs, bufcap), states) as stream) ->
+      let arena, _, _, _ = intern_stream stream in
+      let grown = Arena.size arena > 128 in
+      let d = Arena.scratch arena and f = Arena.scratch arena in
+      (* Expand every id, reset, re-intern [sub]: same ids and size as a
+         fresh arena, every id unexpanded, every key decoding back. *)
+      let again sub =
+        for id = 0 to Arena.size arena - 1 do
+          Arena.set_sleep arena id 0
+        done;
+        Arena.reset arena;
+        let ids = ids_into arena sub in
+        let fresh = Arena.create ~addrs ~regs ~bufcap in
+        ids = ids_into fresh sub
+        && Arena.size arena = Arena.size fresh
+        && List.for_all (fun id -> Arena.sleep arena id = -1) ids
+        && List.for_all2
+             (fun st id ->
+               fill_state f st;
+               Arena.decode arena id d;
+               live d = live f)
+             sub ids
+      in
+      (* Small after large: the reset runs on a grown table and key store. *)
+      grown
+      && again (List.filteri (fun i _ -> i < 40) (List.rev states))
+      && again states)
+
 let prop_arena_decode =
   QCheck.Test.make ~name:"Arena: every interned key decodes back" ~count:20
     arena_stream_arb (fun stream ->
@@ -1356,6 +1525,17 @@ let () =
             test_iriw_visited_pinned;
           Alcotest.test_case "corpus counters pinned" `Quick
             test_corpus_counters_pinned;
+          Alcotest.test_case "one request, one explorer scratch" `Quick
+            test_request_major_words;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "corpus: one scratch ≡ fresh, every mode order" `Quick
+            test_scratch_reuse_corpus;
+          Alcotest.test_case "large then small, budget cut then complete" `Quick
+            test_scratch_large_then_small;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| qcheck_seed |])
+            prop_scratch_reuse;
         ] );
       ( "parser",
         [
@@ -1401,7 +1581,7 @@ let () =
           prop_sat_equals_explorer;
           prop_pooled_sat_differential;
         ];
-      qsuite "arena" [ prop_arena_intern_partition; prop_arena_decode ];
+      qsuite "arena" [ prop_arena_intern_partition; prop_arena_decode; prop_arena_reset ];
       qsuite "properties"
         [
           prop_sc_subset_tbtso;

@@ -555,6 +555,29 @@ let test_long_session_flat () =
   let clauses i = (List.nth stats i).Ax.clauses in
   check_int "one live clause per retired query" 200 (clauses 299 - clauses 99)
 
+let test_new_var_keeps_watches () =
+  (* Growing the watch array past the minor heap's largest block (512 to
+     1,024 literals) keeps every existing watch list and forces no minor
+     collection: the new slots start from an old shared value, and only
+     the new literals get fresh lists. *)
+  let s = S.create () in
+  let vs = Array.init 200 (fun _ -> S.new_var s) in
+  for i = 0 to 198 do
+    S.add_clause s [ S.pos vs.(i); S.neg vs.(i + 1) ]
+  done;
+  let lits = List.concat_map (fun v -> [ S.pos v; S.neg v ]) (Array.to_list vs) in
+  let before = List.map (S.watch_list s) lits in
+  Gc.minor ();
+  let m0 = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 300 do
+    ignore (S.new_var s : int)
+  done;
+  let m1 = (Gc.quick_stat ()).Gc.minor_collections in
+  check_int "minor collections during 300 new_var" 0 (m1 - m0);
+  check_bool "every watch list kept" true
+    (List.for_all2 (fun l w -> S.watch_list s l == w) lits before);
+  check_bool "still satisfiable" true (S.solve s)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -576,6 +599,8 @@ let () =
             test_retirement_twin;
           Alcotest.test_case "300-query session stays flat" `Quick
             test_long_session_flat;
+          Alcotest.test_case "new_var keeps watch lists, no minor GC" `Quick
+            test_new_var_keeps_watches;
         ] );
       qsuite "differential"
         [

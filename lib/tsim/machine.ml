@@ -25,22 +25,25 @@ type probe = {
   mutable clean : bool;  (* each of that iteration's accesses hit the cache *)
 }
 
-type op =
+(* The instruction a thread is held at, with its operands in the
+   thread's [a0], [a1] and [a2]. The constructors are constant, so an
+   opcode is an immediate int and writing one is a plain store. *)
+type opcode =
   | O_none  (* running host code, finishing, or finished *)
-  | O_load of int
-  | O_store of int * int
-  | O_cas of int * int * int
-  | O_faa of int * int
-  | O_xchg of int * int
+  | O_load  (* a0 address *)
+  | O_store  (* a0 address, a1 value *)
+  | O_cas  (* a0 address, a1 expected, a2 desired *)
+  | O_faa  (* a0 address, a1 addend *)
+  | O_xchg  (* a0 address, a1 value *)
   | O_fence
   | O_clock
-  | O_work of int
-  | O_stall_until of int
+  | O_work  (* a0 ticks *)
+  | O_stall_until  (* a0 tick, or minus ticks from now *)
   | O_complete
       (* second phase of work/stall: resumes the thread at ready_at, so
          host code following Sim.work runs when the work has elapsed,
          not when it starts *)
-  | O_probe of probe
+  | O_probe  (* the thread's [probe] *)
 
 type thread_stats = {
   loads : int;
@@ -85,23 +88,55 @@ let drain_kinds = [ D_voluntary; D_delta; D_interrupt; D_exit ]
 
 let kind_index = function D_voluntary -> 0 | D_delta -> 1 | D_interrupt -> 2 | D_exit -> 3
 
-(* A suspended thread: its continuation and the converter from the
-   machine's int answer to the value its effect returns. The converters
-   are closed top-level functions, so stashing allocates one block. *)
-type stash =
-  | Unstarted
-  | Stash : ('a, unit) Effect.Deep.continuation * (int -> 'a) -> stash
+(* The continuation slot of a thread that has not suspended yet: a
+   continuation captured once, here, and never resumed. A thread's slot
+   is resumed only while its opcode is not [O_none], which it is only
+   after its first instruction has filled the slot. *)
+type _ Effect.t += Unused : int Effect.t
 
-let as_int (v : int) = v
+let unused : (int, unit) Effect.Deep.continuation =
+  let captured = ref None in
+  Effect.Deep.match_with
+    (fun () -> ignore (Effect.perform Unused))
+    ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Unused -> Some (fun (k : (int, unit) Effect.Deep.continuation) -> captured := Some k)
+          | _ -> None);
+    };
+  Option.get !captured
 
-let as_unit (_ : int) = ()
-
-let as_bool v = v <> 0
+(* The [probe] of a thread that has run none. *)
+let no_probe =
+  {
+    steps = [||];
+    vals = [||];
+    backoff = 0;
+    first_access = -1;
+    last_access = -1;
+    stores = false;
+    period = 0;
+    exit_by = max_int;
+    pc = 0;
+    slot = 0;
+    waiting = false;
+    epoch = 0;
+    clean = false;
+  }
 
 type thread = {
   tid : int;
-  mutable pending : op;
-  mutable stash : stash;
+  mutable op : opcode;
+  mutable a0 : int;
+  mutable a1 : int;
+  mutable a2 : int;
+  mutable probe : probe;  (* the probe of the latest [O_probe] *)
+  mutable k : (int, unit) Effect.Deep.continuation;
+      (* where the thread resumes, with its instruction's int answer *)
   buf : Store_buffer.t;
   cache : Cache.t;
   mutable ready_at : int;  (* thread cannot execute before this tick *)
@@ -109,6 +144,7 @@ type thread = {
   mutable done_pending : bool;  (* body returned; completes at ready_at *)
   mutable failure : exn option;
   mutable interrupt_phase : int;
+  mutable irq_at : int;  (* the latest [next_interrupt] answer, or 0 *)
   st : mstats;
   res : Tbtso_obs.Hist.t array;
       (* store-buffer residency at commit, indexed by [kind_index] *)
@@ -146,8 +182,10 @@ type t = {
   mutable busy : int array;
       (* The tids whose store buffers hold entries, ascending, in
          [busy.(0 .. nbusy - 1)]: kept at the one enqueue site (exec's
-         store) and the one dequeue site ([drain_one]). *)
+         store) and the one dequeue site ([dequeue]). *)
   mutable nbusy : int;
+  mutable rot : int;  (* [rot_at mod nthreads]: phase 4's first thread at tick [rot_at] *)
+  mutable rot_at : int;  (* -1 when [rot] must be computed afresh *)
 }
 
 and event =
@@ -180,6 +218,8 @@ let create cfg =
     deadline_next = max_int;
     busy = [||];
     nbusy = 0;
+    rot = 0;
+    rot_at = -1;
   }
 
 let config t = t.cfg
@@ -252,7 +292,7 @@ let total_stats t =
     acc.drains <- acc.drains + s.drains;
     acc.forced_drains <- acc.forced_drains + s.forced_drains;
     acc.exit_drains <- acc.exit_drains + s.exit_drains;
-    acc.max_residency <- max acc.max_residency s.max_residency
+    acc.max_residency <- Int.max acc.max_residency s.max_residency
   done;
   freeze acc
 
@@ -276,7 +316,7 @@ let residency_width cfg =
         | Config.Drain_geometric { cap; _ } -> (2 * cap) + 1
         | Config.Drain_adversarial -> residency_buckets)
   in
-  max 1 ((bound + residency_buckets - 1) / residency_buckets)
+  Int.max 1 ((bound + residency_buckets - 1) / residency_buckets)
 
 let residency_by_kind t tid kind =
   Tbtso_obs.Hist.copy t.threads.(tid).res.(kind_index kind)
@@ -339,16 +379,14 @@ let start_probe t steps vals backoff =
     clean = false;
   }
 
-(* --- Thread startup: run the body under a deep handler that stashes each
-   instruction as [pending] together with its continuation. --- *)
+(* --- Thread startup: run the body under a deep handler that records
+   each instruction in the thread and keeps its continuation. --- *)
 
 let start_thread t (th : thread) (body : unit -> unit) =
   let open Effect.Deep in
-  (* [effc] records the instruction as [pending] and hands back one of
-     these, allocated once per thread, to stash the continuation. *)
-  let stash_int = Some (fun (k : (int, unit) continuation) -> th.stash <- Stash (k, as_int)) in
-  let stash_unit = Some (fun (k : (unit, unit) continuation) -> th.stash <- Stash (k, as_unit)) in
-  let stash_bool = Some (fun (k : (bool, unit) continuation) -> th.stash <- Stash (k, as_bool)) in
+  (* [effc] writes the opcode and operands into [th] and hands back one
+     of these, allocated once per thread, to keep the continuation. *)
+  let suspend = Some (fun (k : (int, unit) continuation) -> th.k <- k) in
   let answer_tid = Some (fun (k : (int, unit) continuation) -> continue k th.tid) in
   let answer_stopping = Some (fun (k : (bool, unit) continuation) -> continue k t.stop_requested) in
   let handler : (unit, unit) handler =
@@ -358,12 +396,12 @@ let start_thread t (th : thread) (body : unit -> unit) =
           (* Completion takes effect once any trailing work/stall time
              has elapsed, so "Sim.work n" as a thread's last action still
              occupies the thread for n ticks. *)
-          th.pending <- O_none;
+          th.op <- O_none;
           th.done_pending <- true);
       exnc =
         (fun e ->
           th.finished <- true;
-          th.pending <- O_none;
+          th.op <- O_none;
           th.done_pending <- false;
           t.unfinished <- t.unfinished - 1;
           (match e with
@@ -375,35 +413,48 @@ let start_thread t (th : thread) (body : unit -> unit) =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Sim.E_load a ->
-              th.pending <- O_load a;
-              stash_int
+              th.op <- O_load;
+              th.a0 <- a;
+              suspend
           | Sim.E_store (a, v) ->
-              th.pending <- O_store (a, v);
-              stash_unit
+              th.op <- O_store;
+              th.a0 <- a;
+              th.a1 <- v;
+              suspend
           | Sim.E_cas (a, e, d) ->
-              th.pending <- O_cas (a, e, d);
-              stash_bool
+              th.op <- O_cas;
+              th.a0 <- a;
+              th.a1 <- e;
+              th.a2 <- d;
+              suspend
           | Sim.E_faa (a, n) ->
-              th.pending <- O_faa (a, n);
-              stash_int
+              th.op <- O_faa;
+              th.a0 <- a;
+              th.a1 <- n;
+              suspend
           | Sim.E_xchg (a, v) ->
-              th.pending <- O_xchg (a, v);
-              stash_int
+              th.op <- O_xchg;
+              th.a0 <- a;
+              th.a1 <- v;
+              suspend
           | Sim.E_fence ->
-              th.pending <- O_fence;
-              stash_unit
+              th.op <- O_fence;
+              suspend
           | Sim.E_clock ->
-              th.pending <- O_clock;
-              stash_int
+              th.op <- O_clock;
+              suspend
           | Sim.E_work n ->
-              th.pending <- O_work n;
-              stash_unit
+              th.op <- O_work;
+              th.a0 <- n;
+              suspend
           | Sim.E_stall_until target ->
-              th.pending <- O_stall_until target;
-              stash_unit
+              th.op <- O_stall_until;
+              th.a0 <- target;
+              suspend
           | Sim.E_probe (steps, vals, backoff) ->
-              th.pending <- O_probe (start_probe t steps vals backoff);
-              stash_int
+              th.op <- O_probe;
+              th.probe <- start_probe t steps vals backoff;
+              suspend
           (* Meta-operations: answered immediately, no machine action. *)
           | Sim.E_tid -> answer_tid
           | Sim.E_stopping -> answer_stopping
@@ -424,8 +475,12 @@ let spawn t body =
   let th =
     {
       tid;
-      pending = O_none;
-      stash = Unstarted;
+      op = O_none;
+      a0 = 0;
+      a1 = 0;
+      a2 = 0;
+      probe = no_probe;
+      k = unused;
       buf = Store_buffer.create ();
       cache = Cache.create ~bits:t.cfg.Config.cache_bits;
       ready_at = 0;
@@ -433,6 +488,7 @@ let spawn t body =
       done_pending = false;
       failure = None;
       interrupt_phase = tid * 997;
+      irq_at = 0;
       st = fresh_stats ();
       res =
         (let width = residency_width t.cfg in
@@ -448,6 +504,7 @@ let spawn t body =
   Array.blit t.busy 0 busy 0 t.nbusy;
   t.busy <- busy;
   t.nthreads <- tid + 1;
+  t.rot_at <- -1;
   t.unfinished <- t.unfinished + 1;
   if t.irq_next < max_int then t.irq_next <- 0;
   start_thread t th body;
@@ -455,16 +512,37 @@ let spawn t body =
 
 (* --- Machine actions --- *)
 
-let check_poison t th addr ~write =
-  if t.cfg.Config.detect_uaf && Memory.is_poisoned t.mem addr then
-    raise (Memory.Use_after_free { addr; tid = th.tid; at = t.clock; write })
+(* Each access looks its word's page up once (see [Memory.page]) and
+   indexes it with these. *)
+let word_in_page addr = addr land Memory.page_mask
 
-let commit t th (e : Store_buffer.entry) ~kind =
-  check_poison t th e.addr ~write:true;
-  Memory.write t.mem ~tid:th.tid ~at:t.clock e.addr e.value;
-  (* The writer retains the line in its own cache. *)
-  let line = Memory.line_of e.addr in
-  ignore (Cache.access th.cache ~line ~version:(Memory.line_version t.mem e.addr));
+let line_in_page addr = word_in_page addr lsr Memory.line_shift
+
+let line_of addr = addr lsr Memory.line_shift
+
+let[@inline never] use_after_free t th addr ~write =
+  raise (Memory.Use_after_free { addr; tid = th.tid; at = t.clock; write })
+
+let[@inline] check_poison t th (p : Memory.page) addr ~write =
+  if t.cfg.Config.detect_uaf && Bytes.unsafe_get p.poisoned (word_in_page addr) <> '\000' then
+    use_after_free t th addr ~write
+
+(* [th] loaded from [addr]'s line: it becomes the line's reader unless
+   it owns the line or already is. *)
+let[@inline] note_reader t th (p : Memory.page) addr =
+  let l = line_in_page addr in
+  if Array.unsafe_get p.owner l <> th.tid && Array.unsafe_get p.reader l <> th.tid then
+    Memory.set_reader t.mem p addr th.tid
+
+(* Write [v] to [addr] in page [p], keeping the line in the writer's
+   own cache. *)
+let write_through t th p addr v =
+  let version = Memory.write_in t.mem p ~tid:th.tid addr v in
+  ignore (Cache.access th.cache ~line:(line_of addr) ~version)
+
+let commit t th p (e : Store_buffer.entry) ~kind =
+  check_poison t th p e.addr ~write:true;
+  write_through t th p e.addr e.value;
   th.st.drains <- th.st.drains + 1;
   (match kind with
   | D_voluntary -> ()
@@ -489,17 +567,24 @@ let mark_busy t th =
   t.nbusy <- t.nbusy + 1
 
 let unmark_busy t th =
+  let busy = t.busy in
   let i = ref 0 in
-  while t.busy.(!i) <> th.tid do
+  while busy.(!i) <> th.tid do
     incr i
   done;
-  Array.blit t.busy (!i + 1) t.busy !i (t.nbusy - !i - 1);
+  for j = !i to t.nbusy - 2 do
+    busy.(j) <- busy.(j + 1)
+  done;
   t.nbusy <- t.nbusy - 1
 
-let drain_one t th ~kind =
+let dequeue t th =
   let e = Store_buffer.dequeue_oldest th.buf in
-  if Store_buffer.is_empty th.buf then unmark_busy t th;
-  commit t th e ~kind
+  if th.buf.len = 0 then unmark_busy t th;
+  e
+
+let drain_one t th ~kind =
+  let e = dequeue t th in
+  commit t th (Memory.page t.mem e.addr) e ~kind
 
 (* Attempt to drain the oldest entry, modelling read-for-ownership: a
    store whose target line was read by another core must first regain
@@ -515,14 +600,14 @@ let try_drain t th ~respect_ready =
        issued for an entry that would otherwise commit now. *)
   else if respect_ready && e.ready_at > t.clock && e.rfo_until = 0 then false
   else if e.rfo_until > t.clock then false
-  else if e.rfo_until = 0 && Memory.foreign_reader t.mem e.addr ~tid:th.tid
-  then begin
-    e.rfo_until <- t.clock + t.cfg.Config.costs.cache_miss;
-    Memory.clear_reader t.mem e.addr;
-    true
-  end
   else begin
-    drain_one t th ~kind:D_voluntary;
+    let p = Memory.page t.mem e.addr in
+    let reader = Array.unsafe_get p.reader (line_in_page e.addr) in
+    if e.rfo_until = 0 && reader >= 0 && reader <> th.tid then begin
+      e.rfo_until <- t.clock + t.cfg.Config.costs.cache_miss;
+      Memory.set_reader t.mem p e.addr (-1)
+    end
+    else commit t th p (dequeue t th) ~kind:D_voluntary;
     true
   end
 
@@ -538,68 +623,70 @@ let raise_if_failed th =
   | Some exn -> raise (Thread_failure { tid = th.tid; exn })
   | None -> ()
 
+(* Resume [th] past its instruction, which answers [v]. *)
 let resume_thread th v =
-  (match th.stash with
-  | Stash (k, conv) -> Effect.Deep.continue k (conv v)
-  | Unstarted -> ());
+  th.op <- O_none;
+  Effect.Deep.continue th.k v;
   raise_if_failed th
 
 (* Raise [e] in the thread at its pending instruction, as if that
    instruction had raised it. *)
 let fail_thread th e =
-  (match th.stash with
-  | Stash (k, _) -> Effect.Deep.discontinue k e
-  | Unstarted -> ());
+  th.op <- O_none;
+  Effect.Deep.discontinue th.k e;
   raise_if_failed th
 
-(* Read as the thread would: forwarding from the store buffer first. *)
-let tso_read t th addr ~charge =
-  check_poison t th addr ~write:false;
-  let fwd = Store_buffer.newest_for th.buf addr in
+(* Read as the thread would, from [addr]'s page [p]: the poison test,
+   then forwarding from the store buffer, else memory, the reader
+   record and the cache. *)
+let tso_read_in t th p addr ~charge =
+  check_poison t th p addr ~write:false;
+  let fwd =
+    if th.buf.len = 0 then Store_buffer.sentinel
+    else Store_buffer.newest_for th.buf addr
+  in
   if fwd != Store_buffer.sentinel then begin
     if charge then th.ready_at <- t.clock + t.cfg.Config.costs.load;
     fwd.Store_buffer.value
   end
   else begin
-      let v = Memory.read t.mem addr in
-      Memory.note_reader t.mem addr ~tid:th.tid;
-      let line = Memory.line_of addr in
-      let hit = Cache.access th.cache ~line ~version:(Memory.line_version t.mem addr) in
-      if not hit then th.st.cache_misses <- th.st.cache_misses + 1;
-      if charge then
-        th.ready_at <-
-          t.clock + t.cfg.Config.costs.load
-          + (if hit then 0 else t.cfg.Config.costs.cache_miss);
-      v
+    let v = Array.unsafe_get p.data (word_in_page addr) in
+    note_reader t th p addr;
+    let version = Array.unsafe_get p.version (line_in_page addr) in
+    let hit = Cache.access th.cache ~line:(line_of addr) ~version in
+    if not hit then th.st.cache_misses <- th.st.cache_misses + 1;
+    if charge then
+      th.ready_at <-
+        t.clock + t.cfg.Config.costs.load + (if hit then 0 else t.cfg.Config.costs.cache_miss);
+    v
   end
 
-(* Atomic RMW against memory; the store buffer is already empty. *)
-let rmw_write t th addr v =
-  check_poison t th addr ~write:true;
-  Memory.write t.mem ~tid:th.tid ~at:t.clock addr v;
-  ignore
-    (Cache.access th.cache ~line:(Memory.line_of addr)
-       ~version:(Memory.line_version t.mem addr))
+let tso_read t th addr ~charge = tso_read_in t th (Memory.page t.mem addr) addr ~charge
+
+(* The write of an atomic RMW that read [cur] from [addr], in page [p];
+   the read just tested the word's poison flag. *)
+let rmw_write t th p addr ~cur v =
+  write_through t th p addr v;
+  if tracing t then emit t th (Ev_rmw { addr; old_value = cur; new_value = v })
 
 (* TSO[S]: the buffer is full; the oldest entry must drain before a
    store can issue. *)
 let buffer_full t th =
   match t.cfg.Config.consistency with
-  | Config.Tso_spatial s -> Store_buffer.length th.buf >= s
+  | Config.Tso_spatial s -> th.buf.len >= s
   | Config.Sc | Config.Tso | Config.Tbtso _ | Config.Tbtso_hw _ -> false
 
 (* A store instruction: committed at once under SC, else buffered until
    the scheduler's drain delay has passed. The one enqueue site. *)
 let issue_store t th a v =
   th.st.stores <- th.st.stores + 1;
-  check_poison t th a ~write:true;
+  let p = Memory.page t.mem a in
+  check_poison t th p a ~write:true;
   (match t.cfg.Config.consistency with
-  | Config.Sc ->
-      Memory.write t.mem ~tid:th.tid ~at:t.clock a v;
-      ignore (Cache.access th.cache ~line:(Memory.line_of a) ~version:(Memory.line_version t.mem a))
+  | Config.Sc -> write_through t th p a v
   | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ as c ->
       let d = drain_delay t th in
-      if Store_buffer.is_empty th.buf then mark_busy t th;
+      if th.buf.len = 0 then mark_busy t th;
       Store_buffer.enqueue th.buf
         { addr = a; value = v; enqueued_at = t.clock; ready_at = t.clock + d; rfo_until = 0 };
       let due =
@@ -612,10 +699,25 @@ let issue_store t th a v =
   th.ready_at <- t.clock + t.cfg.Config.costs.store;
   if tracing t then emit t th (Ev_store { addr = a; value = v })
 
+(* The first tick after now at which [th]'s core is due a timer
+   interrupt. The clock never goes back, so the latest answer stays the
+   answer until the clock reaches it, and the next one is a period later
+   until the clock passes that too: only a jump past it divides. *)
 let next_interrupt t th period =
-  let r = (t.clock - th.interrupt_phase) mod period in
-  let r = if r < 0 then r + period else r in
-  t.clock + (period - r)
+  let x = th.irq_at in
+  if t.clock < x then x
+  else begin
+    let x =
+      if x > 0 && t.clock < x + period then x + period
+      else begin
+        let r = (t.clock - th.interrupt_phase) mod period in
+        let r = if r < 0 then r + period else r in
+        t.clock + (period - r)
+      end
+    in
+    th.irq_at <- x;
+    x
+  end
 
 (* Whether the machine may take [p]'s iterations at once, given that
    no store is buffered. Its latest iteration must have run every
@@ -652,13 +754,12 @@ let share_a_line p q =
     if a >= 0 then
       for j = 0 to Array.length q.steps - 1 do
         let b = access_addr q j in
-        if b >= 0 && Memory.line_of a = Memory.line_of b then shared := true
+        if b >= 0 && line_of a = line_of b then shared := true
       done
   done;
   !shared
 
-let parked_probe t th =
-  match th.pending with O_probe p when parked t p -> Some p | _ -> None
+let parked_probe t th = match th.op with O_probe -> parked t th.probe | _ -> false
 
 (* Take [th]'s parked probe through every whole iteration, counted from
    its next step, whose steps all land before tick [w]; leave it as the
@@ -666,7 +767,7 @@ let parked_probe t th =
 let advance_parked t th p ~w =
   let steps = p.steps and backoff = p.backoff in
   let len = iteration_length ~steps ~backoff in
-  let next = max th.ready_at (t.clock + 1) in
+  let next = Int.max th.ready_at (t.clock + 1) in
   (* The last step of an iteration counted from [next] is the one
      before [pc]; it lands [before] ticks before the next iteration. *)
   let before = step_ticks t.cfg.Config.costs ~steps ~backoff ((p.pc + len - 1) mod len) in
@@ -679,12 +780,12 @@ let advance_parked t th p ~w =
         | Sim.Load (a, _) ->
             th.st.loads <- th.st.loads + k;
             Cache.add_hits th.cache k;
-            Memory.note_reader t.mem a ~tid:th.tid
+            note_reader t th (Memory.page t.mem a) a
         | Sim.Clock _ -> th.st.clock_reads <- th.st.clock_reads + k
         | Sim.Cas { addr; _ } ->
             th.st.rmws <- th.st.rmws + k;
             Cache.add_hits th.cache k;
-            Memory.note_reader t.mem addr ~tid:th.tid
+            note_reader t th (Memory.page t.mem addr) addr
         | Sim.Store _ -> assert false (* a probe with a store never parks *))
       steps
   end
@@ -712,16 +813,16 @@ let skip_parked t =
     while !i < t.nthreads && !w > t.clock + 1 do
       let o = t.threads.(!i) in
       incr i;
-      if not (Store_buffer.is_empty o.buf) then w := min_int
+      if o.buf.len > 0 then w := min_int
       else if not o.finished then begin
         (match t.cfg.Config.interrupt_period with
-        | Some period -> w := min !w (next_interrupt t o period)
+        | Some period -> w := Int.min !w (next_interrupt t o period)
         | None -> ());
-        match o.pending with
-        | O_probe p when parked t p ->
-            incr parked_count;
-            w := min !w p.exit_by
-        | _ -> w := min !w (max o.ready_at (t.clock + 1))
+        if parked_probe t o then begin
+          incr parked_count;
+          w := Int.min !w o.probe.exit_by
+        end
+        else w := Int.min !w (Int.max o.ready_at (t.clock + 1))
       end
     done;
     (* Parked probes with no deadline and nothing else to wait for spin
@@ -729,21 +830,20 @@ let skip_parked t =
     if !w > t.clock + 1 && !w < max_int then begin
       let ok = ref true in
       for i = 0 to t.nthreads - 1 do
-        match parked_probe t t.threads.(i) with
-        | Some p ->
-            if probes_freed t p then ok := false;
-            if !parked_count > 1 then
-              for j = i + 1 to t.nthreads - 1 do
-                match parked_probe t t.threads.(j) with
-                | Some q -> if share_a_line p q then ok := false
-                | None -> ()
-              done
-        | None -> ()
+        let o = t.threads.(i) in
+        if parked_probe t o then begin
+          if probes_freed t o.probe then ok := false;
+          if !parked_count > 1 then
+            for j = i + 1 to t.nthreads - 1 do
+              let q = t.threads.(j) in
+              if parked_probe t q && share_a_line o.probe q.probe then ok := false
+            done
+        end
       done;
       if !ok then
         for i = 0 to t.nthreads - 1 do
           let o = t.threads.(i) in
-          match parked_probe t o with Some p -> advance_parked t o p ~w:!w | None -> ()
+          if parked_probe t o then advance_parked t o o.probe ~w:!w
         done
     end
   end
@@ -771,9 +871,7 @@ let begin_access t p =
     p.waiting <- false
   end
 
-let exit_probe th p =
-  th.pending <- O_none;
-  resume_thread th p.pc
+let exit_probe th p = resume_thread th p.pc
 
 let exec_probe t th p =
   let costs = t.cfg.Config.costs and n = Array.length p.steps in
@@ -804,9 +902,7 @@ let exec_probe t th p =
             match test p.vals with
             | true -> exit_probe th p
             | false -> advance_probe t p
-            | exception e ->
-                th.pending <- O_none;
-                fail_thread th e));
+            | exception e -> fail_thread th e));
         true
     | Sim.Clock deadline ->
         th.st.clock_reads <- th.st.clock_reads + 1;
@@ -817,17 +913,17 @@ let exec_probe t th p =
         | Some _ | None -> advance_probe t p);
         true
     | Sim.Cas { addr; expected; desired } ->
-        if not (Store_buffer.is_empty th.buf) then try_drain t th ~respect_ready:false
+        if th.buf.len > 0 then try_drain t th ~respect_ready:false
         else begin
           begin_access t p;
           th.st.rmws <- th.st.rmws + 1;
           let misses = th.st.cache_misses in
-          let cur = tso_read t th addr ~charge:false in
+          let page = Memory.page t.mem addr in
+          let cur = tso_read_in t th page addr ~charge:false in
           if th.st.cache_misses <> misses then p.clean <- false;
           th.ready_at <- t.clock + costs.cas;
           if cur = expected then begin
-            rmw_write t th addr desired;
-            if tracing t then emit t th (Ev_rmw { addr; old_value = cur; new_value = desired });
+            rmw_write t th page addr ~cur desired;
             exit_probe th p
           end
           else begin
@@ -843,9 +939,7 @@ let exec_probe t th p =
           | v ->
               issue_store t th a v;
               advance_probe t p
-          | exception e ->
-              th.pending <- O_none;
-              fail_thread th e);
+          | exception e -> fail_thread th e);
           true
         end
 
@@ -854,29 +948,27 @@ let exec_probe t th p =
    fence/RMW). *)
 let exec t th =
   let costs = t.cfg.Config.costs in
-  match th.pending with
+  match th.op with
   | O_none -> false
-  | O_load a ->
+  | O_load ->
+      let a = th.a0 in
       let v = tso_read t th a ~charge:true in
       th.st.loads <- th.st.loads + 1;
       if tracing t then emit t th (Ev_load { addr = a; value = v });
-      th.pending <- O_none;
       resume_thread th v;
       true
-  | O_store (a, v) ->
+  | O_store ->
       if buffer_full t th then try_drain t th ~respect_ready:false
       else begin
-        issue_store t th a v;
-        th.pending <- O_none;
+        issue_store t th th.a0 th.a1;
         resume_thread th 0;
         true
       end
   | O_fence ->
-      if Store_buffer.is_empty th.buf then begin
+      if th.buf.len = 0 then begin
         th.st.fences <- th.st.fences + 1;
         th.ready_at <- t.clock + costs.fence;
         emit t th Ev_fence;
-        th.pending <- O_none;
         resume_thread th 0;
         true
       end
@@ -884,107 +976,99 @@ let exec t th =
         (* The memory subsystem must first empty the buffer; drains
            may in turn wait on line-ownership upgrades. *)
         try_drain t th ~respect_ready:false
-  | (O_cas _ | O_faa _ | O_xchg _) as op ->
-      if not (Store_buffer.is_empty th.buf) then
+  | O_cas | O_faa | O_xchg ->
+      if th.buf.len > 0 then
         try_drain t th ~respect_ready:false
       else begin
         th.st.rmws <- th.st.rmws + 1;
-        let result =
-          match op with
-          | O_cas (a, expected, desired) ->
-              let cur = tso_read t th a ~charge:false in
-              if cur = expected then begin
-                rmw_write t th a desired;
-                if tracing t then
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = desired });
+        let a = th.a0 in
+        let p = Memory.page t.mem a in
+        let cur = tso_read_in t th p a ~charge:false in
+        let answer =
+          match th.op with
+          | O_cas ->
+              if cur = th.a1 then begin
+                rmw_write t th p a ~cur th.a2;
                 1
               end
               else begin
-                if tracing t then
-                  emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
+                if tracing t then emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur });
                 0
               end
-          | O_faa (a, n) ->
-              let cur = tso_read t th a ~charge:false in
-              rmw_write t th a (cur + n);
-              if tracing t then
-                emit t th (Ev_rmw { addr = a; old_value = cur; new_value = cur + n });
+          | O_faa ->
+              rmw_write t th p a ~cur (cur + th.a1);
               cur
-          | O_xchg (a, v) ->
-              let cur = tso_read t th a ~charge:false in
-              rmw_write t th a v;
-              if tracing t then
-                emit t th (Ev_rmw { addr = a; old_value = cur; new_value = v });
+          | O_xchg ->
+              rmw_write t th p a ~cur th.a1;
               cur
-          | O_none | O_load _ | O_store _ | O_fence | O_clock | O_work _
-          | O_stall_until _ | O_complete | O_probe _ ->
+          | O_none | O_load | O_store | O_fence | O_clock | O_work | O_stall_until | O_complete
+          | O_probe ->
               assert false
         in
         th.ready_at <- t.clock + costs.cas;
-        th.pending <- O_none;
-        resume_thread th result;
+        resume_thread th answer;
         true
       end
   | O_clock ->
       th.st.clock_reads <- th.st.clock_reads + 1;
       th.ready_at <- t.clock + costs.clock_read;
       if tracing t then emit t th (Ev_clock t.clock);
-      th.pending <- O_none;
       resume_thread th t.clock;
       true
-  | O_work n ->
-      th.ready_at <- t.clock + n;
-      th.pending <- O_complete;
+  | O_work ->
+      th.ready_at <- t.clock + th.a0;
+      th.op <- O_complete;
       true
-  | O_stall_until target ->
+  | O_stall_until ->
+      let target = th.a0 in
       let target = if target < 0 then t.clock - target else target in
-      th.ready_at <- max th.ready_at target;
-      th.pending <- O_complete;
+      th.ready_at <- Int.max th.ready_at target;
+      th.op <- O_complete;
       true
   | O_complete ->
-      th.pending <- O_none;
       resume_thread th 0;
       true
-  | O_probe p -> exec_probe t th p
+  | O_probe -> exec_probe t th th.probe
 
 let interrupt t th =
   (* A kernel entry drains the store buffer (Section 6.2). *)
-  while not (Store_buffer.is_empty th.buf) do
+  while th.buf.len > 0 do
     drain_one t th ~kind:D_interrupt
   done;
   (match t.interrupt_hook with
   | Some f -> f ~tid:th.tid ~now:t.clock
   | None -> ());
-  th.ready_at <- max th.ready_at (t.clock + t.cfg.Config.costs.interrupt)
+  th.ready_at <- Int.max th.ready_at (t.clock + t.cfg.Config.costs.interrupt)
 
 let interrupt_due t th period = (t.clock - th.interrupt_phase) mod period = 0
 
 (* Finished threads' cores still take interrupts while stores remain
    buffered. A core that cannot take one never can again: a finished
    thread's buffer only shrinks. *)
-let takes_interrupts th = (not th.finished) || not (Store_buffer.is_empty th.buf)
+let takes_interrupts th = (not th.finished) || th.buf.len > 0
+
+(* [x] if it is after [now] and before [best], else [best]. *)
+let[@inline] earlier ~now best (x : int) = if x > now && x < best then x else best
 
 (* Earliest future time at which anything can happen; used to fast-forward
    the clock through quiet periods (long stalls, Δ waits). *)
 let next_event_time t =
-  let best = ref max_int in
-  let note x = if x > t.clock && x < !best then best := x in
-  note t.quiesce_until;
+  let now = t.clock in
+  let best = ref (earlier ~now max_int t.quiesce_until) in
   for i = 0 to t.nthreads - 1 do
     let th = t.threads.(i) in
-    if not th.finished then note th.ready_at;
+    if not th.finished then best := earlier ~now !best th.ready_at;
     (let e = Store_buffer.oldest th.buf in
      if e != Store_buffer.sentinel then begin
-       note e.ready_at;
-       note e.rfo_until;
+       best := earlier ~now (earlier ~now !best e.ready_at) e.rfo_until;
        match t.cfg.Config.consistency with
-       | Config.Tbtso delta -> note (e.enqueued_at + delta)
-       | Config.Tbtso_hw { tau; _ } -> note (e.enqueued_at + tau)
+       | Config.Tbtso delta -> best := earlier ~now !best (e.enqueued_at + delta)
+       | Config.Tbtso_hw { tau; _ } -> best := earlier ~now !best (e.enqueued_at + tau)
        | Config.Sc | Config.Tso | Config.Tso_spatial _ -> ()
      end);
     if takes_interrupts th then begin
       match t.cfg.Config.interrupt_period with
-      | Some p -> note (next_interrupt t th p)
+      | Some p -> best := earlier ~now !best (next_interrupt t th p)
       | None -> ()
     end
   done;
@@ -998,20 +1082,20 @@ let describe_stuck t =
     if not th.finished then
       Buffer.add_string b
         (Printf.sprintf " [tid %d ready_at %d buffered %d pending %s]" th.tid th.ready_at
-           (Store_buffer.length th.buf)
-           (match th.pending with
+           th.buf.len
+           (match th.op with
            | O_none -> "none"
-           | O_load _ -> "load"
-           | O_store _ -> "store"
-           | O_cas _ -> "cas"
-           | O_faa _ -> "faa"
-           | O_xchg _ -> "xchg"
+           | O_load -> "load"
+           | O_store -> "store"
+           | O_cas -> "cas"
+           | O_faa -> "faa"
+           | O_xchg -> "xchg"
            | O_fence -> "fence"
            | O_clock -> "clock"
-           | O_work _ -> "work"
-           | O_stall_until _ -> "stall"
+           | O_work -> "work"
+           | O_stall_until -> "stall"
            | O_complete -> "complete"
-           | O_probe _ -> "probe"))
+           | O_probe -> "probe"))
   done;
   Buffer.contents b
 
@@ -1063,6 +1147,31 @@ let any_expired t tau =
   if not !expired then t.deadline_next <- !next;
   !expired
 
+(* Phase 4 starts at thread [clock mod nthreads]. A tick that follows
+   the last one to ask steps the index on; any other tick (after a
+   fast-forward, a drain that moved the clock, a quiescent tick or a
+   spawn) divides once, or masks when [nthreads] is a power of two. *)
+let[@inline] rotation t =
+  let n = t.nthreads in
+  if t.rot_at = t.clock - 1 then begin
+    let r = t.rot + 1 in
+    t.rot <- (if r = n then 0 else r)
+  end
+  else t.rot <- (if n land (n - 1) = 0 then t.clock land (n - 1) else t.clock mod n);
+  t.rot_at <- t.clock;
+  t.rot
+
+(* A thread whose body returned finishes once its trailing work has
+   elapsed. *)
+let complete t th =
+  th.ready_at <= t.clock
+  && begin
+       th.done_pending <- false;
+       th.finished <- true;
+       t.unfinished <- t.unfinished - 1;
+       true
+     end
+
 (* A tick does the work due at it: each phase first checks a bound on
    when it next has any (see [irq_next], [deadline_next], [busy]). *)
 let tick t ~deadline =
@@ -1086,7 +1195,7 @@ let tick t ~deadline =
         (* Quiescence complete: the pause let every store reach memory. *)
         for i = 0 to t.nthreads - 1 do
           let th = t.threads.(i) in
-          while not (Store_buffer.is_empty th.buf) do
+          while th.buf.len > 0 do
             (* Quiescence is the Tbtso_hw τ-deadline obligation. *)
             drain_one t th ~kind:D_delta
           done
@@ -1114,30 +1223,33 @@ let tick t ~deadline =
     if try_drain t t.threads.(tid) ~respect_ready:true then acted := true;
     if !i < t.nbusy && t.busy.(!i) = tid then incr i
   done;
-  (* Phase 4: one instruction per runnable thread, rotating priority. *)
+  (* Phase 4: one instruction per runnable thread, rotating priority.
+     The two loops differ only in the schedule-noise draw. *)
   let n = t.nthreads in
   if n > 0 && not quiescing then begin
-    let jitter = t.cfg.Config.jitter in
-    let j = ref (t.clock mod n) in
-    for _ = 1 to n do
-      let th = t.threads.(!j) in
-      incr j;
-      if !j = n then j := 0;
-      if th.done_pending && not th.finished then begin
-        if th.ready_at <= t.clock then begin
-          th.done_pending <- false;
-          th.finished <- true;
-          t.unfinished <- t.unfinished - 1;
-          acted := true
-        end
-      end
-      else if (not th.finished) && th.ready_at <= t.clock then
-        if jitter > 0.0 && Rng.float t.rng < jitter then
-          (* Skipped by schedule noise, but still runnable: counts as
-             activity so the clock is not fast-forwarded over it. *)
-          acted := true
-        else if exec t th then acted := true
-    done
+    let threads = t.threads and jitter = t.cfg.Config.jitter in
+    let j = ref (rotation t) in
+    if jitter > 0.0 then
+      for _ = 1 to n do
+        let th = threads.(!j) in
+        incr j;
+        if !j = n then j := 0;
+        if th.done_pending && not th.finished then (if complete t th then acted := true)
+        else if (not th.finished) && th.ready_at <= t.clock then
+          if Rng.float t.rng < jitter then
+            (* Skipped by schedule noise, but still runnable: counts as
+               activity so the clock is not fast-forwarded over it. *)
+            acted := true
+          else if exec t th then acted := true
+      done
+    else
+      for _ = 1 to n do
+        let th = threads.(!j) in
+        incr j;
+        if !j = n then j := 0;
+        if th.done_pending && not th.finished then (if complete t th then acted := true)
+        else if (not th.finished) && th.ready_at <= t.clock && exec t th then acted := true
+      done
   end;
   if t.probe_failed then begin
     t.probe_failed <- false;
@@ -1150,7 +1262,7 @@ let tick t ~deadline =
       (* Fast-forward to just before the next event, but never past the
          caller's deadline: [run ~max_ticks] must report [Max_ticks] with
          the clock at the deadline, not at some event beyond it. *)
-      t.clock <- min (next - 1) deadline
+      t.clock <- Int.min (next - 1) deadline
   end
 
 let check_failure t =
@@ -1168,7 +1280,7 @@ let exit_drain t =
     let left = ref false in
     for i = 0 to t.nthreads - 1 do
       let th = t.threads.(i) in
-      if not (Store_buffer.is_empty th.buf) then begin
+      if th.buf.len > 0 then begin
         left := true;
         drain_one t th ~kind:D_exit
       end
@@ -1225,12 +1337,10 @@ let kill_remaining t =
         t.unfinished <- t.unfinished - 1
       end
       else begin
-        th.pending <- O_none;
-        (* Discontinue the stashed continuation: Sim.Killed unwinds the
+        (* Discontinue the kept continuation: Sim.Killed unwinds the
            thread body and is absorbed by the handler's exnc. *)
-        (match th.stash with
-        | Stash (k, _) -> Effect.Deep.discontinue k Sim.Killed
-        | Unstarted -> ());
+        th.op <- O_none;
+        Effect.Deep.discontinue th.k Sim.Killed;
         th.failure <- None
       end
     end
@@ -1240,7 +1350,7 @@ let drain_all t =
   t.clock <- t.clock + 1;
   for i = 0 to t.nthreads - 1 do
     let th = t.threads.(i) in
-    while not (Store_buffer.is_empty th.buf) do
+    while th.buf.len > 0 do
       drain_one t th ~kind:D_exit
     done
   done

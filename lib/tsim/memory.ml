@@ -86,8 +86,9 @@ let backed t addr =
 
 let read t addr = Array.unsafe_get (page t addr).data (offset addr)
 
-let write t ~tid ~at:_ addr v =
-  let p = backed t addr in
+(* Write [v] to [addr] in its backed page [p]: bump the line's version
+   and make [tid] its owner, with no reader. *)
+let write_backed t p ~tid addr v =
   t.writes <- t.writes + 1;
   let l = line_in_page addr in
   Array.unsafe_set p.data (offset addr) v;
@@ -95,26 +96,21 @@ let write t ~tid ~at:_ addr v =
   Array.unsafe_set p.owner l tid;
   Array.unsafe_set p.reader l (-1)
 
+let write t ~tid ~at:_ addr v = write_backed t (backed t addr) ~tid addr v
+
+let write_in t p ~tid addr v =
+  let p = if p != zero_page then p else backed t addr in
+  write_backed t p ~tid addr v;
+  Array.unsafe_get p.version (line_in_page addr)
+
+let set_reader t p addr r =
+  let l = line_in_page addr in
+  if Array.unsafe_get p.reader l <> r then
+    Array.unsafe_set (if p != zero_page then p else backed t addr).reader l r
+
 let writes t = t.writes
 
 let line_version t addr = Array.unsafe_get (page t addr).version (line_in_page addr)
-
-let line_owner t addr = Array.unsafe_get (page t addr).owner (line_in_page addr)
-
-let note_reader t addr ~tid =
-  let p = page t addr in
-  let l = line_in_page addr in
-  if Array.unsafe_get p.owner l <> tid && Array.unsafe_get p.reader l <> tid then
-    Array.unsafe_set (backed t addr).reader l tid
-
-let foreign_reader t addr ~tid =
-  let r = Array.unsafe_get (page t addr).reader (line_in_page addr) in
-  r >= 0 && r <> tid
-
-let clear_reader t addr =
-  let l = line_in_page addr in
-  if Array.unsafe_get (page t addr).reader l <> -1 then
-    Array.unsafe_set (backed t addr).reader l (-1)
 
 let is_poisoned t addr = Bytes.unsafe_get (page t addr).poisoned (offset addr) <> '\000'
 

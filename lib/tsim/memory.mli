@@ -11,15 +11,15 @@
 
     The space is a page table of fixed 4,096-word pages (a whole number
     of lines). A page is backed by host memory only when a mutator
-    ({!write}, {!note_reader}, {!clear_reader}, {!poison}, {!unpoison})
+    ({!write}, {!write_in}, {!set_reader}, {!poison}, {!unpoison})
     first changes one of its values. Until then its entry points at one
     shared, never-written zero page holding the fresh-memory values:
     word 0, line version 0, owner and reader -1, unpoisoned. Reads
-    ({!read}, {!line_version}, {!line_owner}, {!foreign_reader},
-    {!is_poisoned}) never back a page. Paging is invisible to results:
-    every address, value, record and [Out_of_memory] point is what a
-    flat array of [words] words would give, so an oversized [words]
-    costs host memory only for the pages actually touched.
+    ({!read}, {!line_version}, {!is_poisoned}, {!page}) never back a
+    page. Paging is invisible to results: every address, value, record
+    and [Out_of_memory] point is what a flat array of [words] words
+    would give, so an oversized [words] costs host memory only for the
+    pages actually touched.
 
     {2 Out-of-range addresses}
 
@@ -64,20 +64,43 @@ val line_of : int -> int
 val line_version : t -> int -> int
 (** Current version of the line containing the given address. *)
 
-val line_owner : t -> int -> int
-(** Tid of the last committed writer to the line, or -1. *)
-
-val note_reader : t -> int -> tid:int -> unit
-(** Record that [tid] loaded from the line (ignored when [tid] already
-    owns it). Feeds the RFO cost model: a later committed store to a
-    line some other core has read must first regain exclusive ownership. *)
-
-val foreign_reader : t -> int -> tid:int -> bool
-(** Did a thread other than [tid] read this line since the last write? *)
-
-val clear_reader : t -> int -> unit
-
 val is_poisoned : t -> int -> bool
+
+(** {2 One lookup per access}
+
+    The machine looks a word's page up once per access, then tests its
+    poison flag, reads the word and its line's version and records a
+    reader in place. Index a page's words and poison flags by
+    [addr land page_mask], and its per-line arrays by
+    [(addr land page_mask) lsr line_shift]. *)
+
+type page = private {
+  data : int array;  (** The words. *)
+  version : int array;  (** Per line: bumped by every write. *)
+  owner : int array;  (** Per line: the last writer's tid, or -1. *)
+  reader : int array;
+      (** Per line: the last tid other than the owner to read it since
+          the last write, or -1. Feeds the RFO cost model: a committed
+          store to a line another core has read must first regain
+          exclusive ownership. *)
+  poisoned : Bytes.t;  (** Per word: ['\000'] when live. *)
+}
+
+val page_mask : int
+
+val page : t -> int -> page
+(** [page t addr] is the page holding [addr], for reading. It never
+    backs a page, so it may be the shared zero page: change a page only
+    through {!write_in} and {!set_reader}. *)
+
+val write_in : t -> page -> tid:int -> int -> int -> int
+(** [write_in t p ~tid addr v], with [p = page t addr], is
+    [write t ~tid ~at addr v]; it returns the line's new version. *)
+
+val set_reader : t -> page -> int -> int -> unit
+(** [set_reader t p addr r], with [p = page t addr], records [r] (a tid,
+    or -1 for none) as the reader of [addr]'s line. It backs no page
+    when the record already holds [r]. *)
 
 val poison : t -> int -> len:int -> unit
 (** Mark [len] words starting at [addr] as freed. Reads/writes raise

@@ -6,14 +6,14 @@ type step =
 
 type _ Effect.t +=
   | E_load : int -> int Effect.t
-  | E_store : (int * int) -> unit Effect.t
-  | E_cas : (int * int * int) -> bool Effect.t
-  | E_faa : (int * int) -> int Effect.t
-  | E_xchg : (int * int) -> int Effect.t
-  | E_fence : unit Effect.t
+  | E_store : int * int -> int Effect.t
+  | E_cas : int * int * int -> int Effect.t
+  | E_faa : int * int -> int Effect.t
+  | E_xchg : int * int -> int Effect.t
+  | E_fence : int Effect.t
   | E_clock : int Effect.t
-  | E_work : int -> unit Effect.t
-  | E_stall_until : int -> unit Effect.t
+  | E_work : int -> int Effect.t
+  | E_stall_until : int -> int Effect.t
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
@@ -23,23 +23,23 @@ exception Killed
 
 let load a = Effect.perform (E_load a)
 
-let store a v = Effect.perform (E_store (a, v))
+let store a v = ignore (Effect.perform (E_store (a, v)))
 
-let cas a ~expected ~desired = Effect.perform (E_cas (a, expected, desired))
+let cas a ~expected ~desired = Effect.perform (E_cas (a, expected, desired)) <> 0
 
 let faa a n = Effect.perform (E_faa (a, n))
 
 let xchg a v = Effect.perform (E_xchg (a, v))
 
-let fence () = Effect.perform E_fence
+let fence () = ignore (Effect.perform E_fence)
 
 let clock () = Effect.perform E_clock
 
-let work n = if n > 0 then Effect.perform (E_work n)
+let work n = if n > 0 then ignore (Effect.perform (E_work n))
 
-let stall_until t = Effect.perform (E_stall_until t)
+let stall_until t = ignore (Effect.perform (E_stall_until t))
 
-let stall_for n = Effect.perform (E_stall_until (-n))
+let stall_for n = ignore (Effect.perform (E_stall_until (-n)))
 (* Negative argument means "relative to now"; decoded by the machine.
    This avoids charging a clock-read for the common idiom. *)
 

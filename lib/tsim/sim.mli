@@ -35,20 +35,31 @@ type step =
           iteration has loaded so far. It never exits the probe, and a
           probe with a [Store] never parks (see {!Machine.run}). *)
 
+(** The effects behind the functions below. Every instruction answers
+    an [int], so the machine resumes any suspended thread the same way:
+    [E_load], [E_faa] and [E_xchg] answer the old value, [E_clock] the
+    clock, [E_cas] 1 on success and 0 on failure, [E_probe] the index of
+    the step that exited, and the rest 0. Their operands are unboxed
+    constructor arguments, not tuples, so performing one allocates only
+    the effect and its continuation. The meta-operations [E_tid],
+    [E_stopping] and [E_label] are answered at once, with no machine
+    action. *)
 type _ Effect.t +=
-  | E_load : int -> int Effect.t
-  | E_store : (int * int) -> unit Effect.t
-  | E_cas : (int * int * int) -> bool Effect.t
-  | E_faa : (int * int) -> int Effect.t
-  | E_xchg : (int * int) -> int Effect.t
-  | E_fence : unit Effect.t
+  | E_load : int -> int Effect.t  (** address *)
+  | E_store : int * int -> int Effect.t  (** address, value *)
+  | E_cas : int * int * int -> int Effect.t  (** address, expected, desired *)
+  | E_faa : int * int -> int Effect.t  (** address, addend *)
+  | E_xchg : int * int -> int Effect.t  (** address, value *)
+  | E_fence : int Effect.t
   | E_clock : int Effect.t
-  | E_work : int -> unit Effect.t
-  | E_stall_until : int -> unit Effect.t
+  | E_work : int -> int Effect.t  (** ticks, positive *)
+  | E_stall_until : int -> int Effect.t
+      (** a tick, or minus a number of ticks from now *)
   | E_tid : int Effect.t
   | E_stopping : bool Effect.t
   | E_label : string -> unit Effect.t
   | E_probe : step array * int array * int -> int Effect.t
+      (** steps, value slots, backoff *)
 
 exception Killed
 (** Used by the machine to unwind threads abandoned at the end of a

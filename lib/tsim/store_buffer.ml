@@ -25,43 +25,37 @@ let dummy = sentinel
 
 let create () = { slots = Array.make 8 dummy; head = 0; len = 0 }
 
-let is_empty t = t.len = 0
-
-let length t = t.len
-
+(* The capacity is a power of two, so a slot index wraps with a mask. *)
 let grow t =
   let cap = Array.length t.slots in
   let slots = Array.make (cap * 2) dummy in
   for i = 0 to t.len - 1 do
-    slots.(i) <- t.slots.((t.head + i) mod cap)
+    slots.(i) <- t.slots.((t.head + i) land (cap - 1))
   done;
   t.slots <- slots;
   t.head <- 0
 
 let enqueue t e =
   if t.len = Array.length t.slots then grow t;
-  let cap = Array.length t.slots in
-  t.slots.((t.head + t.len) mod cap) <- e;
+  t.slots.((t.head + t.len) land (Array.length t.slots - 1)) <- e;
   t.len <- t.len + 1
 
 let oldest t = if t.len = 0 then sentinel else t.slots.(t.head)
-
-let peek_oldest t = if t.len = 0 then None else Some t.slots.(t.head)
 
 let dequeue_oldest t =
   if t.len = 0 then invalid_arg "Store_buffer.dequeue_oldest: empty";
   let e = t.slots.(t.head) in
   t.slots.(t.head) <- dummy;
-  t.head <- (t.head + 1) mod Array.length t.slots;
+  t.head <- (t.head + 1) land (Array.length t.slots - 1);
   t.len <- t.len - 1;
   e
 
 let newest_for t addr =
   (* Scan from newest to oldest; first hit is the forwarding entry. *)
-  let cap = Array.length t.slots in
+  let mask = Array.length t.slots - 1 in
   let i = ref (t.len - 1) and found = ref sentinel in
   while !i >= 0 do
-    let e = t.slots.((t.head + !i) mod cap) in
+    let e = t.slots.((t.head + !i) land mask) in
     if e.addr = addr then begin
       found := e;
       i := -1
@@ -69,21 +63,3 @@ let newest_for t addr =
     else decr i
   done;
   !found
-
-let newest_value t addr =
-  let e = newest_for t addr in
-  if e == sentinel then None else Some e.value
-
-let oldest_enqueue_time t =
-  if t.len = 0 then None else Some t.slots.(t.head).enqueued_at
-
-let iter_oldest_first t f =
-  let cap = Array.length t.slots in
-  for i = 0 to t.len - 1 do
-    f t.slots.((t.head + i) mod cap)
-  done
-
-let clear t =
-  Array.fill t.slots 0 (Array.length t.slots) dummy;
-  t.head <- 0;
-  t.len <- 0

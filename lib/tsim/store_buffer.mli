@@ -15,13 +15,16 @@ type entry = {
           read by another core (machine-managed; 0 initially). *)
 }
 
-type t
+(** A ring of [slots], whose length is a power of two. The fields are
+    read-only outside this module; the machine reads [len] inline on its
+    hot paths (an empty buffer needs no forwarding scan). *)
+type t = private {
+  mutable slots : entry array;
+  mutable head : int;  (** Slot of the oldest entry. *)
+  mutable len : int;  (** Entries buffered. *)
+}
 
 val create : unit -> t
-
-val is_empty : t -> bool
-
-val length : t -> int
 
 val enqueue : t -> entry -> unit
 
@@ -31,28 +34,13 @@ val sentinel : entry
     {!oldest} and {!newest_for} — test with physical equality. *)
 
 val oldest : t -> entry
-(** Head (oldest) entry, or {!sentinel} when the buffer is empty. The
-    allocation-free counterpart of {!peek_oldest}: the simulator probes
-    the head on every drain, read and deadline check, and this accessor
-    never boxes the result. *)
-
-val peek_oldest : t -> entry option
+(** Head (oldest) entry, or {!sentinel} when the buffer is empty. Its
+    [enqueued_at] anchors the TBTSO[Δ] deadline. *)
 
 val dequeue_oldest : t -> entry
 (** @raise Invalid_argument if empty. *)
 
 val newest_for : t -> int -> entry
 (** [newest_for t addr] is the newest buffered store to [addr], or
-    {!sentinel} when none is buffered. The allocation-free counterpart
-    of {!newest_value} for the store-to-load forwarding path. *)
-
-val newest_value : t -> int -> int option
-(** [newest_value t addr] is the value of the newest buffered store to
-    [addr], if any: the value a same-thread load must observe. *)
-
-val oldest_enqueue_time : t -> int option
-(** Enqueue time of the head entry (the TBTSO[Δ] deadline anchor). *)
-
-val iter_oldest_first : t -> (entry -> unit) -> unit
-
-val clear : t -> unit
+    {!sentinel} when none is buffered: the store whose value a
+    same-thread load of [addr] must observe. *)

@@ -516,6 +516,45 @@ let test_retirement_twin () =
         modes)
     (flag_runs @ corpus_runs)
 
+let test_corpus_search_pinned () =
+  (* The SAT oracle's formula and search, summed over both corpora per
+     mode: one shared session per file answers the CI modes in
+     ascending order, as [Litmus_fanout] does. [vars] and [clauses]
+     snapshot the session's formula after the query; the rest are the
+     query's own work. A reordered variable numbering or clause stream
+     moves the search, so it moves at least one column. Columns: vars,
+     clauses, solves, conflicts, decisions, propagations. *)
+  let programs = corpus () in
+  check_int "corpus files" 23 (List.length programs);
+  let sums = Hashtbl.create 8 in
+  List.iter
+    (fun (_, p) ->
+      let sess = Ax.session p in
+      List.iter
+        (fun mode ->
+          let st = (Ax.enumerate_session sess mode).Ax.stats in
+          let acc =
+            Option.value ~default:[ 0; 0; 0; 0; 0; 0 ] (Hashtbl.find_opt sums mode)
+          in
+          Hashtbl.replace sums mode
+            (List.map2 ( + ) acc
+               [ st.Ax.vars; st.Ax.clauses; st.Ax.solves; st.Ax.conflicts;
+                 st.Ax.decisions; st.Ax.propagations ]))
+        Programs.sat_corpus_modes)
+    programs;
+  List.iter
+    (fun (mode, expected) ->
+      Alcotest.(check (list int))
+        (Tsim.Litmus_parse.mode_id mode)
+        expected (Hashtbl.find sums mode))
+    [
+      (L.M_sc, [ 3439; 12876; 113; 271; 981; 21206 ]);
+      (L.M_tso, [ 3462; 12877; 42; 92; 264; 5876 ]);
+      (L.M_tbtso 1, [ 3485; 12901; 0; 0; 0; 23 ]);
+      (L.M_tbtso 4, [ 3528; 13190; 21; 54; 50; 2912 ]);
+      (L.M_tbtso 64, [ 3552; 13222; 1; 2; 1; 394 ]);
+    ]
+
 let test_long_session_flat () =
   (* 300 distinct queries on one session, in a scrambled order: TSO or
      TBTSO[2] under one of the 256 fence subsets of two four-store
@@ -597,6 +636,8 @@ let () =
             `Quick test_corpus_both_orders;
           Alcotest.test_case "retirement twin: index vs sweep" `Quick
             test_retirement_twin;
+          Alcotest.test_case "corpus search pinned" `Quick
+            test_corpus_search_pinned;
           Alcotest.test_case "300-query session stays flat" `Quick
             test_long_session_flat;
           Alcotest.test_case "new_var keeps watch lists, no minor GC" `Quick

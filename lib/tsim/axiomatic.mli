@@ -170,9 +170,7 @@ val session :
     fill the [sat.propagate] / [sat.analyze] / [sat.simplify] phases —
     their item counts are propagations, conflicts and reclaimed
     clauses, giving per-second rates directly from the phase totals.
-    @raise Invalid_argument on negative [Wait] durations or negative
-    [Loadeq] skips (the operational model deadlocks or loops on these;
-    no litmus file or generator produces them). *)
+    @raise Invalid_argument on a program {!Litmus.validate} rejects. *)
 
 val horizon : session -> int
 (** The time horizon [H]. [M_tbtso Δ] with [Δ ≥ H] is indistinguishable

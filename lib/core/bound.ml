@@ -10,7 +10,7 @@ let visible_horizon t ~now =
   | Core_array { base; ncores; stride } ->
       let rec scan i acc =
         if i >= ncores then acc
-        else scan (i + 1) (min acc (Sim.load (base + (i * stride))))
+        else scan (i + 1) (Int.min acc (Sim.load (base + (i * stride))))
       in
       (* A core's kernel entry at time [a] drained all its stores issued
          before [a]; the global horizon is the minimum over cores. *)
@@ -26,7 +26,7 @@ let visible_steps t ~after ~slot =
       let past values =
         let h = ref max_int in
         for i = slot to slot + ncores - 1 do
-          h := min !h values.(i)
+          h := Int.min !h values.(i)
         done;
         !h > after
       in

@@ -44,7 +44,7 @@ let handle dom ~tid = { dom; tid; rlist_rev = []; rcount = 0 }
 let scan_and_free t =
   let d = t.dom in
   let rec min_start i acc =
-    if i >= d.nthreads then acc else min_start (i + 1) (min acc (Sim.load (ts d i)))
+    if i >= d.nthreads then acc else min_start (i + 1) (Int.min acc (Sim.load (ts d i)))
   in
   let horizon = min_start 0 max_int in
   let kept = ref [] in

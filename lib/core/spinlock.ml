@@ -37,7 +37,7 @@ module Tas = struct
       if not (trylock t) then begin
         (* Test-and-test-and-set with bounded backoff. *)
         ignore (Sim.await t.word ~until:(fun v -> v = 0) ~backoff);
-        spin (min (backoff * 2) 200)
+        spin (Int.min (backoff * 2) 200)
       end
     in
     spin 10

@@ -101,7 +101,7 @@ let commit t =
 
 (* Free retirees older than every active transaction. *)
 let try_flush d =
-  let min_active = Array.fold_left (fun acc e -> if e >= 0 then min acc e else acc) max_int d.active in
+  let min_active = Array.fold_left (fun acc e -> if e >= 0 then Int.min acc e else acc) max_int d.active in
   let rec drain () =
     match Queue.peek_opt d.retired with
     | Some (objp, snap) when snap < min_active ->
@@ -144,7 +144,7 @@ module Policy = struct
     let line = Memory.line_of a in
     t.read_set <- (line, Memory.line_version t.dom.mem a) :: t.read_set;
     t.nreads <- t.nreads + 1;
-    let segment = if t.split_mode then max 2 (t.dom.capacity / 4) else t.dom.capacity in
+    let segment = if t.split_mode then Int.max 2 (t.dom.capacity / 4) else t.dom.capacity in
     if t.nreads >= segment then begin
       if t.split_mode then begin
         (* Split mode: commit this segment and continue in a fresh

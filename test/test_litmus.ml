@@ -209,13 +209,11 @@ let prop_tbtso_monotone_in_delta =
     (fun p -> subset (enumerate ~mode:(M_tbtso 2) p) (enumerate ~mode:(M_tbtso 5) p))
 
 (* Run an arbitrary straight-line litmus program on the effects machine
-   and return its outcome in the checker's format. *)
-let machine_outcome ~seed program =
-  let cfg =
-    Config.(
-      with_jitter 0.4 (with_seed (Int64.of_int seed) (with_consistency Tso default)))
-  in
-  let m = Machine.create cfg in
+   under [cfg], seeded and jittered, and return its outcome in the
+   checker's format. The machine has no conditional load: a [Loadeq]
+   is rejected rather than run as some other program. *)
+let machine_outcome cfg ~seed program =
+  let m = Machine.create Config.(with_jitter 0.4 (with_seed (Int64.of_int seed) cfg)) in
   let base = Machine.alloc_global m 64 in
   let addr a = base + (a * 8) in
   let nthreads = List.length program in
@@ -228,7 +226,7 @@ let machine_outcome ~seed program =
                (function
                  | Store (a, v) -> Sim.store (addr a) v
                  | Load (a, r) -> regs.(tid).(r) <- Sim.load (addr a)
-                 | Loadeq (_, _, _) -> ()
+                 | Loadeq (_, _, _) -> invalid_arg "machine_outcome: Loadeq"
                  | Fence -> Sim.fence ()
                  | Wait d -> Sim.stall_for d
                  | Cas (a, e, d, r) ->
@@ -241,46 +239,19 @@ let machine_outcome ~seed program =
   let mem = Array.init 4 (fun a -> Memory.read (Machine.memory m) (addr a)) in
   { regs; mem }
 
-let machine_outcome_hw ~seed program =
-  let cfg =
-    Config.(
-      with_jitter 0.4
-        (with_seed (Int64.of_int seed)
-           (with_drain Drain_adversarial
-              (with_consistency (Tbtso_hw { tau = 50; quiesce = 20 }) default))))
-  in
-  let m = Machine.create cfg in
-  let base = Machine.alloc_global m 64 in
-  let addr a = base + (a * 8) in
-  let nthreads = List.length program in
-  let regs = Array.init nthreads (fun _ -> Array.make 4 0) in
-  List.iteri
-    (fun tid instrs ->
-      ignore
-        (Machine.spawn m (fun () ->
-             List.iter
-               (function
-                 | Store (a, v) -> Sim.store (addr a) v
-                 | Load (a, r) -> regs.(tid).(r) <- Sim.load (addr a)
-                 | Loadeq (_, _, _) -> ()
-                 | Fence -> Sim.fence ()
-                 | Wait d -> Sim.stall_for d
-                 | Cas (a, e, d, r) ->
-                     regs.(tid).(r) <-
-                       (if Sim.cas (addr a) ~expected:e ~desired:d then 1 else 0))
-               instrs)))
-    program;
-  ignore (Machine.run m);
-  Machine.drain_all m;
-  let mem = Array.init 4 (fun a -> Memory.read (Machine.memory m) (addr a)) in
-  { regs; mem }
+let tso_machine = Config.(with_consistency Tso default)
+
+let hw_machine =
+  Config.(
+    with_drain Drain_adversarial
+      (with_consistency (Tbtso_hw { tau = 50; quiesce = 20 }) default))
 
 let prop_hw_machine_subset_of_tso =
   (* The Section 6.1 mechanism is a refinement of TSO: everything it
      produces is TSO-reachable. *)
   QCheck.Test.make ~name:"Tbtso_hw outcomes ⊆ TSO outcomes" ~count:40
     QCheck.(pair program_arb (int_range 1 1_000_000))
-    (fun (p, seed) -> List.mem (machine_outcome_hw ~seed p) (enumerate ~mode:M_tso p))
+    (fun (p, seed) -> List.mem (machine_outcome hw_machine ~seed p) (enumerate ~mode:M_tso p))
 
 let prop_machine_subset_of_checker_random =
   (* For random programs, every machine execution's outcome must be
@@ -288,7 +259,7 @@ let prop_machine_subset_of_checker_random =
   QCheck.Test.make ~name:"machine outcomes ⊆ checker outcomes (random programs)" ~count:50
     QCheck.(pair program_arb (int_range 1 1_000_000))
     (fun (p, seed) ->
-      let o = machine_outcome ~seed p in
+      let o = machine_outcome tso_machine ~seed p in
       let reachable = enumerate ~mode:M_tso p in
       List.mem o reachable)
 

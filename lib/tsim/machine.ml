@@ -21,7 +21,7 @@ type probe = {
   mutable waiting : bool;
       (* every access of the latest iteration has run and its tests
          failed; cleared by the next iteration's first access *)
-  mutable epoch : int;  (* Memory.writes at that iteration's first access *)
+  mutable epoch : int;  (* the memory's [writes] at that iteration's first access *)
   mutable clean : bool;  (* each of that iteration's accesses hit the cache *)
 }
 
@@ -138,7 +138,10 @@ type thread = {
   mutable k : (int, unit) Effect.Deep.continuation;
       (* where the thread resumes, with its instruction's int answer *)
   buf : Store_buffer.t;
-  cache : Cache.t;
+  tags : int array;
+  versions : int array;
+      (* The thread's cache: per set, the line it last held and that
+         line's version then (see [cache_hit]). *)
   mutable ready_at : int;  (* thread cannot execute before this tick *)
   mutable finished : bool;
   mutable done_pending : bool;  (* body returned; completes at ready_at *)
@@ -154,6 +157,8 @@ type thread = {
 type t = {
   cfg : Config.t;
   mem : Memory.t;
+  cache_mask : int;  (* cache sets - 1 *)
+  drain_bound : int;  (* [Rng.geometric_bound] of a geometric drain's p *)
   mutable clock : int;
   mutable threads : thread array;
   mutable nthreads : int;
@@ -200,6 +205,11 @@ let create cfg =
   {
     cfg;
     mem = Memory.create ~words:cfg.Config.mem_words;
+    cache_mask = (1 lsl cfg.Config.cache_bits) - 1;
+    drain_bound =
+      (match cfg.Config.drain with
+      | Config.Drain_geometric { p; _ } -> Rng.geometric_bound p
+      | Config.Drain_fixed _ | Config.Drain_uniform _ | Config.Drain_adversarial -> 0);
     clock = 0;
     threads = [||];
     nthreads = 0;
@@ -482,7 +492,8 @@ let spawn t body =
       probe = no_probe;
       k = unused;
       buf = Store_buffer.create ();
-      cache = Cache.create ~bits:t.cfg.Config.cache_bits;
+      tags = Array.make (t.cache_mask + 1) (-1);
+      versions = Array.make (t.cache_mask + 1) (-1);
       ready_at = 0;
       finished = false;
       done_pending = false;
@@ -512,8 +523,15 @@ let spawn t body =
 
 (* --- Machine actions --- *)
 
-(* Each access looks its word's page up once (see [Memory.page]) and
-   indexes it with these. *)
+(* Each access looks its word's page up once and indexes it with
+   these. An address outside memory goes to [Memory.page], which
+   raises. *)
+let[@inline] page t addr =
+  let mem = t.mem in
+  if addr >= 0 && addr < mem.Memory.words then
+    Array.unsafe_get mem.Memory.pages (addr lsr Memory.page_shift)
+  else Memory.page mem addr
+
 let word_in_page addr = addr land Memory.page_mask
 
 let line_in_page addr = word_in_page addr lsr Memory.line_shift
@@ -534,15 +552,28 @@ let[@inline] note_reader t th (p : Memory.page) addr =
   if Array.unsafe_get p.owner l <> th.tid && Array.unsafe_get p.reader l <> th.tid then
     Memory.set_reader t.mem p addr th.tid
 
+(* The thread's direct-mapped cache, a cost model only: it never
+   affects the values read. Whether the set of [line] holds it at
+   [version] (no other thread has written the line since this one held
+   it); either way the set holds it at [version] afterwards. *)
+let[@inline] cache_hit t th line version =
+  let i = line land t.cache_mask in
+  (Array.unsafe_get th.tags i = line && Array.unsafe_get th.versions i = version)
+  || begin
+       Array.unsafe_set th.tags i line;
+       Array.unsafe_set th.versions i version;
+       false
+     end
+
 (* Write [v] to [addr] in page [p], keeping the line in the writer's
    own cache. *)
 let write_through t th p addr v =
   let version = Memory.write_in t.mem p ~tid:th.tid addr v in
-  ignore (Cache.access th.cache ~line:(line_of addr) ~version)
+  ignore (cache_hit t th (line_of addr) version)
 
-let commit t th p (e : Store_buffer.entry) ~kind =
-  check_poison t th p e.addr ~write:true;
-  write_through t th p e.addr e.value;
+let commit t th p ~addr ~value ~enqueued_at ~kind =
+  check_poison t th p addr ~write:true;
+  write_through t th p addr value;
   th.st.drains <- th.st.drains + 1;
   (match kind with
   | D_voluntary -> ()
@@ -550,10 +581,10 @@ let commit t th p (e : Store_buffer.entry) ~kind =
   | D_exit -> th.st.exit_drains <- th.st.exit_drains + 1);
   (* Residency: how long the entry sat buffered — the paper's central
      quantity (a store enqueued at t0 must be in memory by t0 + Δ). *)
-  let age = t.clock - e.enqueued_at in
+  let age = t.clock - enqueued_at in
   Tbtso_obs.Hist.observe th.res.(kind_index kind) age;
   if age > th.st.max_residency then th.st.max_residency <- age;
-  if tracing t then emit t th (Ev_commit { addr = e.addr; value = e.value; age; kind })
+  if tracing t then emit t th (Ev_commit { addr; value; age; kind })
 
 (* [busy] membership: [th] is added when its buffer leaves empty and
    removed when it returns to empty. *)
@@ -577,14 +608,21 @@ let unmark_busy t th =
   done;
   t.nbusy <- t.nbusy - 1
 
-let dequeue t th =
-  let e = Store_buffer.dequeue_oldest th.buf in
-  if th.buf.len = 0 then unmark_busy t th;
-  e
+(* Dequeue [th]'s oldest buffered store, the one dequeue site, and
+   commit it to its page [p]. *)
+let commit_oldest t th p ~kind =
+  let b = th.buf in
+  let s = b.head in
+  let addr = Array.unsafe_get b.addr s
+  and value = Array.unsafe_get b.value s
+  and enqueued_at = Array.unsafe_get b.enqueued_at s in
+  Store_buffer.drop_oldest b;
+  if b.len = 0 then unmark_busy t th;
+  commit t th p ~addr ~value ~enqueued_at ~kind
 
 let drain_one t th ~kind =
-  let e = dequeue t th in
-  commit t th (Memory.page t.mem e.addr) e ~kind
+  let b = th.buf in
+  commit_oldest t th (page t (Array.unsafe_get b.addr b.head)) ~kind
 
 (* Attempt to drain the oldest entry, modelling read-for-ownership: a
    store whose target line was read by another core must first regain
@@ -594,28 +632,33 @@ let drain_one t th ~kind =
    makes unfenced hazard-pointer publication cheap. Returns true if this
    call made progress (committed or issued the RFO). *)
 let try_drain t th ~respect_ready =
-  let e = Store_buffer.oldest th.buf in
-  if e == Store_buffer.sentinel then false
+  let b = th.buf in
+  if b.len = 0 then false
+  else begin
+    let s = b.head in
+    let rfo_until = Array.unsafe_get b.rfo_until s in
     (* The scheduler's willingness to drain comes first: an RFO is only
        issued for an entry that would otherwise commit now. *)
-  else if respect_ready && e.ready_at > t.clock && e.rfo_until = 0 then false
-  else if e.rfo_until > t.clock then false
-  else begin
-    let p = Memory.page t.mem e.addr in
-    let reader = Array.unsafe_get p.reader (line_in_page e.addr) in
-    if e.rfo_until = 0 && reader >= 0 && reader <> th.tid then begin
-      e.rfo_until <- t.clock + t.cfg.Config.costs.cache_miss;
-      Memory.set_reader t.mem p e.addr (-1)
+    if respect_ready && Array.unsafe_get b.ready_at s > t.clock && rfo_until = 0 then false
+    else if rfo_until > t.clock then false
+    else begin
+      let addr = Array.unsafe_get b.addr s in
+      let p = page t addr in
+      let reader = Array.unsafe_get p.reader (line_in_page addr) in
+      if rfo_until = 0 && reader >= 0 && reader <> th.tid then begin
+        Store_buffer.set_oldest_rfo b (t.clock + t.cfg.Config.costs.cache_miss);
+        Memory.set_reader t.mem p addr (-1)
+      end
+      else commit_oldest t th p ~kind:D_voluntary;
+      true
     end
-    else commit t th p (dequeue t th) ~kind:D_voluntary;
-    true
   end
 
 let drain_delay t th =
   match t.cfg.Config.drain with
   | Config.Drain_fixed n -> n
   | Config.Drain_uniform (lo, hi) -> Rng.int_in th.drain_rng lo hi
-  | Config.Drain_geometric { p; cap } -> Rng.geometric th.drain_rng ~p ~cap
+  | Config.Drain_geometric { cap; _ } -> Rng.geometric th.drain_rng ~bound:t.drain_bound ~cap
   | Config.Drain_adversarial -> max_int / 2
 
 let raise_if_failed th =
@@ -641,19 +684,16 @@ let fail_thread th e =
    record and the cache. *)
 let tso_read_in t th p addr ~charge =
   check_poison t th p addr ~write:false;
-  let fwd =
-    if th.buf.len = 0 then Store_buffer.sentinel
-    else Store_buffer.newest_for th.buf addr
-  in
-  if fwd != Store_buffer.sentinel then begin
+  let fwd = if th.buf.len = 0 then -1 else Store_buffer.newest_for th.buf addr in
+  if fwd >= 0 then begin
     if charge then th.ready_at <- t.clock + t.cfg.Config.costs.load;
-    fwd.Store_buffer.value
+    Array.unsafe_get th.buf.value fwd
   end
   else begin
     let v = Array.unsafe_get p.data (word_in_page addr) in
     note_reader t th p addr;
     let version = Array.unsafe_get p.version (line_in_page addr) in
-    let hit = Cache.access th.cache ~line:(line_of addr) ~version in
+    let hit = cache_hit t th (line_of addr) version in
     if not hit then th.st.cache_misses <- th.st.cache_misses + 1;
     if charge then
       th.ready_at <-
@@ -661,7 +701,7 @@ let tso_read_in t th p addr ~charge =
     v
   end
 
-let tso_read t th addr ~charge = tso_read_in t th (Memory.page t.mem addr) addr ~charge
+let tso_read t th addr ~charge = tso_read_in t th (page t addr) addr ~charge
 
 (* The write of an atomic RMW that read [cur] from [addr], in page [p];
    the read just tested the word's poison flag. *)
@@ -680,15 +720,14 @@ let buffer_full t th =
    the scheduler's drain delay has passed. The one enqueue site. *)
 let issue_store t th a v =
   th.st.stores <- th.st.stores + 1;
-  let p = Memory.page t.mem a in
+  let p = page t a in
   check_poison t th p a ~write:true;
   (match t.cfg.Config.consistency with
   | Config.Sc -> write_through t th p a v
   | Config.Tso | Config.Tbtso _ | Config.Tso_spatial _ | Config.Tbtso_hw _ as c ->
       let d = drain_delay t th in
       if th.buf.len = 0 then mark_busy t th;
-      Store_buffer.enqueue th.buf
-        { addr = a; value = v; enqueued_at = t.clock; ready_at = t.clock + d; rfo_until = 0 };
+      Store_buffer.enqueue th.buf ~addr:a ~value:v ~at:t.clock ~ready_at:(t.clock + d);
       let due =
         match c with
         | Config.Tbtso delta -> t.clock + delta
@@ -728,7 +767,7 @@ let next_interrupt t th period =
    step must also take a tick or more, so that each lands on the tick
    the one before it named. *)
 let parked t p =
-  p.waiting && p.clean && (not p.stores) && p.period > 0 && p.epoch = Memory.writes t.mem
+  p.waiting && p.clean && (not p.stores) && p.period > 0 && p.epoch = t.mem.Memory.writes
 
 let access_addr p i =
   match p.steps.(i) with
@@ -779,13 +818,11 @@ let advance_parked t th p ~w =
       (function
         | Sim.Load (a, _) ->
             th.st.loads <- th.st.loads + k;
-            Cache.add_hits th.cache k;
-            note_reader t th (Memory.page t.mem a) a
+            note_reader t th (page t a) a
         | Sim.Clock _ -> th.st.clock_reads <- th.st.clock_reads + k
         | Sim.Cas { addr; _ } ->
             th.st.rmws <- th.st.rmws + k;
-            Cache.add_hits th.cache k;
-            note_reader t th (Memory.page t.mem addr) addr
+            note_reader t th (page t addr) addr
         | Sim.Store _ -> assert false (* a probe with a store never parks *))
       steps
   end
@@ -866,7 +903,7 @@ let advance_probe t p =
    starts its record. *)
 let begin_access t p =
   if p.pc = p.first_access then begin
-    p.epoch <- Memory.writes t.mem;
+    p.epoch <- t.mem.Memory.writes;
     p.clean <- true;
     p.waiting <- false
   end
@@ -918,12 +955,12 @@ let exec_probe t th p =
           begin_access t p;
           th.st.rmws <- th.st.rmws + 1;
           let misses = th.st.cache_misses in
-          let page = Memory.page t.mem addr in
-          let cur = tso_read_in t th page addr ~charge:false in
+          let pg = page t addr in
+          let cur = tso_read_in t th pg addr ~charge:false in
           if th.st.cache_misses <> misses then p.clean <- false;
           th.ready_at <- t.clock + costs.cas;
           if cur = expected then begin
-            rmw_write t th page addr ~cur desired;
+            rmw_write t th pg addr ~cur desired;
             exit_probe th p
           end
           else begin
@@ -982,7 +1019,7 @@ let exec t th =
       else begin
         th.st.rmws <- th.st.rmws + 1;
         let a = th.a0 in
-        let p = Memory.page t.mem a in
+        let p = page t a in
         let cur = tso_read_in t th p a ~charge:false in
         let answer =
           match th.op with
@@ -1058,12 +1095,17 @@ let next_event_time t =
   for i = 0 to t.nthreads - 1 do
     let th = t.threads.(i) in
     if not th.finished then best := earlier ~now !best th.ready_at;
-    (let e = Store_buffer.oldest th.buf in
-     if e != Store_buffer.sentinel then begin
-       best := earlier ~now (earlier ~now !best e.ready_at) e.rfo_until;
+    (let b = th.buf in
+     if b.len > 0 then begin
+       let s = b.head in
+       best :=
+         earlier ~now
+           (earlier ~now !best (Array.unsafe_get b.ready_at s))
+           (Array.unsafe_get b.rfo_until s);
+       let enqueued_at = Array.unsafe_get b.enqueued_at s in
        match t.cfg.Config.consistency with
-       | Config.Tbtso delta -> best := earlier ~now !best (e.enqueued_at + delta)
-       | Config.Tbtso_hw { tau; _ } -> best := earlier ~now !best (e.enqueued_at + tau)
+       | Config.Tbtso delta -> best := earlier ~now !best (enqueued_at + delta)
+       | Config.Tbtso_hw { tau; _ } -> best := earlier ~now !best (enqueued_at + tau)
        | Config.Sc | Config.Tso | Config.Tso_spatial _ -> ()
      end);
     if takes_interrupts th then begin
@@ -1121,15 +1163,12 @@ let force_delta t delta =
   let acted = ref false and next = ref max_int in
   for i = 0 to t.nthreads - 1 do
     let th = t.threads.(i) in
-    while
-      let e = Store_buffer.oldest th.buf in
-      e != Store_buffer.sentinel && e.enqueued_at + delta <= t.clock
-    do
+    let b = th.buf in
+    while b.len > 0 && Array.unsafe_get b.enqueued_at b.head + delta <= t.clock do
       drain_one t th ~kind:D_delta;
       acted := true
     done;
-    let e = Store_buffer.oldest th.buf in
-    if e != Store_buffer.sentinel then next := Int.min !next (e.enqueued_at + delta)
+    if b.len > 0 then next := Int.min !next (Array.unsafe_get b.enqueued_at b.head + delta)
   done;
   t.deadline_next <- !next;
   !acted
@@ -1139,10 +1178,11 @@ let force_delta t delta =
 let any_expired t tau =
   let expired = ref false and next = ref max_int in
   for i = 0 to t.nthreads - 1 do
-    let e = Store_buffer.oldest t.threads.(i).buf in
-    if e != Store_buffer.sentinel then
-      if e.enqueued_at + tau <= t.clock then expired := true
-      else next := Int.min !next (e.enqueued_at + tau)
+    let b = t.threads.(i).buf in
+    if b.len > 0 then begin
+      let due = Array.unsafe_get b.enqueued_at b.head + tau in
+      if due <= t.clock then expired := true else next := Int.min !next due
+    end
   done;
   if not !expired then t.deadline_next <- !next;
   !expired

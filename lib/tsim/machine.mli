@@ -75,11 +75,18 @@
     int answer ([Sim.cas] turns 1/0 into a bool on the thread's side).
     A {!Sim.probe} is the one instruction with a record, built once per
     probe. Performing an instruction thus allocates only the effect and
-    its continuation: 5 minor words per load, and 12 per store with the
-    store-buffer entry. Each access looks the word's page up once
-    ({!Memory.page}) and reads the poison flag, the word, the reader
-    record and the line version from it; a commit tests poison, writes
-    and reads the new version through one lookup too. *)
+    its continuation: 5 minor words per load ([E_load a], 3, and the
+    continuation, 2) and 6 per store ([E_store (a, v)], 4, and the
+    continuation); a buffered store is a slot of {!Store_buffer}'s int
+    arrays, not a record. Each access looks the word's page up once, in
+    the machine's own code: it tests the address against the memory's
+    size and indexes {!Memory.t}'s page table, going to {!Memory.page}
+    only for an address outside memory, which raises. It then reads the
+    poison flag, the word, the reader record and the line version from
+    the page and probes the thread's direct-mapped cache (two int
+    arrays: per set, the line held and its version then) inline; a
+    commit tests poison, writes and reads the new version through one
+    lookup too. *)
 
 type t
 

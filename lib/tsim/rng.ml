@@ -49,11 +49,18 @@ let bool t = Int64.logand (next t) 1L = 1L
 (* A draw [unit_float t < p] compares x·2^-53 with p, x the draw's top
    53 bits; as x is an integer, that is x < ⌈p·2^53⌉, and p·2^53 and its
    ceiling are exact. So the loop compares integers, drawing the same
-   numbers as the float test would. *)
-let geometric t ~p ~cap =
-  if p >= 1.0 then 0
+   numbers as the float test would. A p of 1 or more draws nothing; its
+   bound, 2^53, is one no p below 1 reaches. *)
+let two_53 = 1 lsl 53
+
+let geometric_bound p =
+  if p >= 1.0 then two_53
+  else if p > 0.0 then Float.to_int (Float.ceil (p *. 9007199254740992.0))
+  else 0
+
+let geometric t ~bound ~cap =
+  if bound >= two_53 then 0
   else begin
-    let bound = if p > 0.0 then Float.to_int (Float.ceil (p *. 9007199254740992.0)) else 0 in
     let n = ref 0 in
     while !n < cap && not (Int64.to_int (Int64.shift_right_logical (next t) 11) < bound) do
       incr n

@@ -34,6 +34,14 @@ val float : t -> float
 
 val bool : t -> bool
 
-val geometric : t -> p:float -> cap:int -> int
-(** Number of failures before first success for a Bernoulli([p]) trial,
-    truncated to [cap]. Used for store-drain delay sampling. *)
+val geometric_bound : float -> int
+(** [geometric_bound p] is the integer bound {!geometric} takes for a
+    Bernoulli([p]) trial: ⌈p·2^53⌉, 0 for [p <= 0] (no draw succeeds)
+    and 2^53 for [p >= 1] (none is drawn). *)
+
+val geometric : t -> bound:int -> cap:int -> int
+(** [geometric t ~bound:(geometric_bound p) ~cap] is the number of
+    failures before the first success of a Bernoulli([p]) trial,
+    truncated to [cap]: the draws and the result of testing
+    [float t < p] each time. Used for store-drain delay sampling, with
+    the bound computed once per machine. *)

@@ -3,44 +3,48 @@
     Models the abstract store buffer of x86-TSO: stores enter at the tail
     with their enqueue time; the memory subsystem dequeues from the head.
     A load first consults the buffer and, if several entries match the
-    address, must see the newest one (store-to-load forwarding). *)
+    address, must see the newest one (store-to-load forwarding).
 
-type entry = {
-  addr : int;
-  value : int;
-  enqueued_at : int;  (** Global-clock time of the store instruction. *)
-  ready_at : int;  (** Scheduler-sampled earliest voluntary drain time. *)
-  mutable rfo_until : int;
-      (** Read-for-ownership completion time when the target line was
-          read by another core (machine-managed; 0 initially). *)
-}
+    An entry is a slot: index [s] of the five parallel arrays. Buffering
+    a store allocates nothing and writes no pointer, and the machine
+    reads the head entry's fields inline, at slot [head], without a
+    call. *)
 
-(** A ring of [slots], whose length is a power of two. The fields are
-    read-only outside this module; the machine reads [len] inline on its
-    hot paths (an empty buffer needs no forwarding scan). *)
+(** A ring whose capacity (the arrays' common length) is a power of
+    two. The fields are read-only outside this module: the arrays are
+    replaced when the ring grows, and only the slots
+    [(head + i) land (capacity - 1)] for [i < len] hold entries. *)
 type t = private {
-  mutable slots : entry array;
+  mutable addr : int array;
+  mutable value : int array;
+  mutable enqueued_at : int array;
+      (** Global-clock time of the store instruction. *)
+  mutable ready_at : int array;
+      (** Scheduler-sampled earliest voluntary drain time. *)
+  mutable rfo_until : int array;
+      (** Read-for-ownership completion time when the target line was
+          read by another core (machine-managed; 0 until issued). *)
   mutable head : int;  (** Slot of the oldest entry. *)
   mutable len : int;  (** Entries buffered. *)
 }
 
 val create : unit -> t
+(** An empty buffer of capacity 8. *)
 
-val enqueue : t -> entry -> unit
+val enqueue : t -> addr:int -> value:int -> at:int -> ready_at:int -> unit
+(** Buffer a store enqueued at tick [at] with no upgrade issued, growing
+    the ring when it is full. *)
 
-val sentinel : entry
-(** Distinguished empty-result entry ([addr = -1]; real addresses are
-    non-negative, so no buffered entry ever aliases it). Returned by
-    {!oldest} and {!newest_for} — test with physical equality. *)
+val drop_oldest : t -> unit
+(** Remove the head entry; read its fields first.
+    @raise Invalid_argument if empty. *)
 
-val oldest : t -> entry
-(** Head (oldest) entry, or {!sentinel} when the buffer is empty. Its
-    [enqueued_at] anchors the TBTSO[Δ] deadline. *)
+val set_oldest_rfo : t -> int -> unit
+(** [set_oldest_rfo t until] records that the head entry's
+    read-for-ownership completes at [until].
+    @raise Invalid_argument if empty. *)
 
-val dequeue_oldest : t -> entry
-(** @raise Invalid_argument if empty. *)
-
-val newest_for : t -> int -> entry
-(** [newest_for t addr] is the newest buffered store to [addr], or
-    {!sentinel} when none is buffered: the store whose value a
+val newest_for : t -> int -> int
+(** [newest_for t addr] is the slot of the newest buffered store to
+    [addr], or -1 when none is buffered: the store whose value a
     same-thread load of [addr] must observe. *)

@@ -1,7 +1,7 @@
 open Tsim
 
 let list_nodes mem ~head =
-  let limit = Memory.words mem in
+  let limit = mem.Memory.words in
   let rec walk link acc n =
     if n > limit then failwith "Inspect.list_nodes: cycle detected";
     let v = Memory.read mem link in
